@@ -34,18 +34,16 @@ from .errors import (
 )
 from .experiments import (
     block_memberships,
+    default_item_params,
     distribution_from_config,
     normalize_family,
-    random_item_params,
     run_experiment,
-    uses_signed_item_params,
 )
 from .metrics import data_sparsity, profile_memberships
 from .modularity import select_k
-from .sampling import discrete_mean_interval, expected_responses, sample_response
+from .sampling import expected_responses, sample_response
 from .types import (
     PURE_TOL_LOADED,
-    GeneralDiscrete,
     ItemParams,
     MembershipMatrix,
     ModelSpec,
@@ -76,6 +74,15 @@ def _load_config(path) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 
+def _config_value(config: dict, key: str, kind, default=None):
+    """``config[key]`` (``default`` when absent) converted by ``kind``, else ``ConfigError``."""
+    value = config.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key!r} must be {kind.__name__}, got {value!r}") from exc
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -98,10 +105,12 @@ def _spec_from_config(config: dict) -> tuple[ModelSpec, int]:
         if key not in config:
             raise ConfigError(f"generate config is missing {key!r}")
     distribution = distribution_from_config(config["distribution"])
-    seed = int(config.get("seed", 0))
+    seed = _config_value(config, "seed", int, 0)
     rng = np.random.default_rng(seed)
 
-    n, j, k = int(config["n"]), int(config["j"]), int(config["k"])
+    n, j, k = (_config_value(config, key, int) for key in ("n", "j", "k"))
+    if min(n, j, k) < 1:
+        raise ConfigError(f"n, j and k must be positive, got {n}, {j}, {k}")
     mixed = config.get("mixed_membership", "uniform")
     if isinstance(mixed, list):
         mixed = tuple(mixed)
@@ -114,7 +123,7 @@ def _spec_from_config(config: dict) -> tuple[ModelSpec, int]:
                 f"config says {n}x{k}"
             )
     else:
-        n_pure = int(config.get("n_pure_per_class", n // 4))
+        n_pure = _config_value(config, "n_pure_per_class", int, n // 4)
         membership = block_memberships(n, k, n_pure, mixed=mixed, rng=rng)
 
     if "item_params_file" in config:
@@ -125,23 +134,20 @@ def _spec_from_config(config: dict) -> tuple[ModelSpec, int]:
                 f"config says {j}x{k}"
             )
     else:
-        mean_range = config.get("mean_range")
-        if mean_range is None and isinstance(distribution, GeneralDiscrete):
-            mean_range = discrete_mean_interval(distribution.support, distribution.scheme)
-        item_params = random_item_params(
+        item_params = default_item_params(
+            distribution,
             j,
             k,
-            float(config.get("rho", 1.0)),
+            _config_value(config, "rho", float, 1.0),
             rng,
-            signed=uses_signed_item_params(distribution),
-            mean_range=tuple(mean_range) if mean_range else None,
+            config.get("mean_range") or None,
         )
 
     spec = ModelSpec(
         membership=membership,
         item_params=item_params,
         distribution=distribution,
-        sparsity=float(config.get("sparsity", 1.0)),
+        sparsity=_config_value(config, "sparsity", float, 1.0),
     )
     return spec, seed
 
@@ -244,9 +250,9 @@ def cmd_experiment(args) -> int:
     family = normalize_family(config["family"])
     distribution = distribution_from_config(config["distribution"])
     methods = config.get("methods", ["scgoma"])
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    replicates = args.replicates or int(config.get("replicates", 20))
-    k_max = args.k_max or int(config.get("k_max", 15))
+    seed = args.seed if args.seed is not None else _config_value(config, "seed", int, 0)
+    replicates = args.replicates or _config_value(config, "replicates", int, 20)
+    k_max = args.k_max or _config_value(config, "k_max", int, 15)
 
     out = _out_dir(args)
     manifest = {
@@ -267,10 +273,10 @@ def cmd_experiment(args) -> int:
             method=method,
             replicates=replicates,
             seed=seed,
-            n=int(config.get("n", 400)),
-            k=int(config.get("k", 3)),
-            rho=float(config.get("rho", 1.0)),
-            sparsity=float(config.get("sparsity", 1.0)),
+            n=_config_value(config, "n", int, 400),
+            k=_config_value(config, "k", int, 3),
+            rho=_config_value(config, "rho", float, 1.0),
+            sparsity=_config_value(config, "sparsity", float, 1.0),
             k_max=k_max,
             threads=args.threads,
             mean_range=tuple(config["mean_range"]) if config.get("mean_range") else None,

@@ -1,14 +1,11 @@
 """Membership and item-parameter estimators.
 
-Two estimator families, each with an oracle variant that recovers the true
-parameters exactly from a noiseless expected matrix:
-
-* spectral (``scgoma`` / ``ideal_scgoma``): top-K SVD, vertex search on the
-  left singular rows, simplex inversion, row normalization, then a regression
-  for the item parameters against the rank-K reconstruction;
-* raw-row (``rmsp`` / ``ideal_rmsp``): vertex search directly on the response
-  rows, least-squares simplex weights via the vertex Gram matrix, and the
-  item-parameter regression against the raw matrix.
+Both estimators run one tail on row embeddings X: vertex search on the rows of
+X, clamped simplex weights, row normalization, and an item-parameter
+regression.  ``scgoma`` uses the left SVD factor of R as X and regresses on the
+rank-K reconstruction; ``rmsp`` uses R for both.  The oracle variants
+``ideal_scgoma`` / ``ideal_rmsp`` check that a noiseless expected matrix has
+rank exactly K and then run the matching estimator, which recovers it exactly.
 """
 
 from __future__ import annotations
@@ -24,11 +21,6 @@ from .vertex_hunting import successive_projection
 
 IDEAL_RANK_RTOL = 1e-10
 IDEAL_EXTRA_RANK_RTOL = 1e-8
-
-
-def _l1_normalize(z: np.ndarray) -> np.ndarray:
-    norms = np.abs(z).sum(axis=1, keepdims=True)
-    return z / norms
 
 
 def _normalize_clamped(z: np.ndarray, k: int, method: str) -> np.ndarray:
@@ -47,7 +39,7 @@ def _normalize_clamped(z: np.ndarray, k: int, method: str) -> np.ndarray:
                 f"{method}: {n_dead} subject rows clamped to zero; assigned "
                 f"uniform membership 1/{k}",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
         z = z.copy()
         z[dead] = 1.0 / k
@@ -70,43 +62,49 @@ def _check_exact_rank(matrix: np.ndarray, k: int) -> None:
         )
 
 
-def _item_regression(target_t: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    # Theta = M' Pi (Pi' Pi)^{-1} for the relevant target M.
+def _simplex_memberships(x: np.ndarray, k: int, method: str):
+    """Vertex search on the rows of x, then Z = max(0, x C' (C C')^-1) for the
+    corners C = x[vertices], row-normalized.  Returns (pi, vertices, C)."""
+    vertices = successive_projection(x, k)
+    corners = x[vertices.indices]
+    gram_inv, _ = solve_small_inverse(corners @ corners.T)
+    z = np.maximum(0.0, x @ corners.T @ gram_inv)
+    return _normalize_clamped(z, k, method), vertices, corners
+
+
+def _item_regression(target_t_pi: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    # Theta = M' Pi (Pi' Pi)^{-1} for the relevant target M, given M' Pi.
     gram_inv, _ = solve_small_inverse(pi.T @ pi)
-    return target_t @ pi @ gram_inv
+    return target_t_pi @ gram_inv
 
 
 def ideal_scgoma(expected, k: int) -> tuple[MembershipMatrix, np.ndarray]:
     """Exact recovery from a noiseless expected matrix via its top-k SVD.
 
     Returns (membership, item_params), both exact up to one common column
-    permutation for any valid model.
-
-    Raises ``DegenerateRankError`` unless the input has rank exactly k.
+    permutation for any valid model.  Raises ``DegenerateRankError`` unless
+    the input has rank exactly k.
     """
     r0 = response_array(expected)
     _check_exact_rank(r0, k)
-    svd = top_k_svd(r0, k)
-    vertices = successive_projection(svd.left, k)
-    corner_inv, _ = solve_small_inverse(svd.left[vertices.indices])
-    z = svd.left @ corner_inv
-    pi = _l1_normalize(z)
-    theta = _item_regression(r0.T, pi)
-    return MembershipMatrix(pi), theta
+    result = scgoma(r0, k)
+    return result.membership_hat, result.item_params_hat
 
 
 def scgoma(responses, k: int, *, seed: int = 0) -> EstimationResult:
     """Spectral membership estimation from a noisy response matrix.
 
-    Steps: top-k SVD of R; vertex search on the rows of the left factor;
-    clamped simplex inversion Z = max(0, U U[I]^-1); row normalization (rows
-    that clamp to all-zero become uniform); item parameters regressed against
-    the rank-k reconstruction.
+    Steps: top-k SVD of R; vertex search on the rows of the left factor U;
+    clamped simplex weights Z = max(0, U C' (C C')^-1) for the corner rows
+    C = U[I]; row normalization (rows that clamp to all-zero become uniform);
+    item parameters regressed against the rank-k reconstruction.
 
     ``seed`` feeds the randomized SVD path used for large matrices.
 
     Raises
     ------
+    DataFormatError
+        If R has a nan or inf entry.
     DegenerateRankError
         If the top-k spectrum of R is numerically degenerate (including an
         all-zero response matrix).
@@ -117,14 +115,9 @@ def scgoma(responses, k: int, *, seed: int = 0) -> EstimationResult:
     """
     r = response_array(responses)
     svd = top_k_svd(r, k, seed=seed)
-    vertices = successive_projection(svd.left, k)
-    corner_inv, _ = solve_small_inverse(svd.left[vertices.indices])
-    z = np.maximum(0.0, svd.left @ corner_inv)
-    pi = _normalize_clamped(z, k, "scgoma")
-    # Item regression against the rank-k reconstruction, never materialized:
-    # Rhat' Pi (Pi'Pi)^-1 = V Sigma (U' Pi) (Pi'Pi)^-1.
-    gram_inv, _ = solve_small_inverse(pi.T @ pi)
-    theta = (svd.right * svd.singulars) @ (svd.left.T @ pi) @ gram_inv
+    pi, vertices, _ = _simplex_memberships(svd.left, k, "scgoma")
+    # Rank-k reconstruction target, never materialized: Rhat' Pi = V Sigma (U' Pi).
+    theta = _item_regression((svd.right * svd.singulars) @ (svd.left.T @ pi), pi)
     return EstimationResult(
         membership_hat=MembershipMatrix(pi),
         item_params_hat=theta,
@@ -134,16 +127,11 @@ def scgoma(responses, k: int, *, seed: int = 0) -> EstimationResult:
 
 
 def ideal_rmsp(expected, k: int) -> tuple[MembershipMatrix, np.ndarray]:
-    """Exact recovery from a noiseless expected matrix via its raw rows."""
+    """Exact recovery via the raw rows; rank checked as in ``ideal_scgoma``."""
     r0 = response_array(expected)
     _check_exact_rank(r0, k)
-    vertices = successive_projection(r0, k)
-    corners = r0[vertices.indices]
-    gram_inv, _ = solve_small_inverse(corners @ corners.T)
-    z = r0 @ corners.T @ gram_inv
-    pi = _l1_normalize(z)
-    theta = _item_regression(r0.T, pi)
-    return MembershipMatrix(pi), theta
+    result = rmsp(r0, k)
+    return result.membership_hat, result.item_params_hat
 
 
 def rmsp(responses, k: int) -> EstimationResult:
@@ -154,12 +142,8 @@ def rmsp(responses, k: int) -> EstimationResult:
     all-zero response matrix surfaces as a vertex-search rank deficiency.
     """
     r = response_array(responses)
-    vertices = successive_projection(r, k)
-    corners = r[vertices.indices]
-    gram_inv, _ = solve_small_inverse(corners @ corners.T)
-    z = np.maximum(0.0, r @ corners.T @ gram_inv)
-    pi = _normalize_clamped(z, k, "rmsp")
-    theta = _item_regression(r.T, pi)
+    pi, vertices, corners = _simplex_memberships(r, k, "rmsp")
+    theta = _item_regression(r.T @ pi, pi)
     return EstimationResult(
         membership_hat=MembershipMatrix(pi),
         item_params_hat=theta,

@@ -55,6 +55,8 @@ def block_memberships(n: int, k: int, n_pure_per_class: int, mixed="uniform", rn
     whose first k-1 weights are drawn independently from U(0, 1/k) with the
     last taking the remainder.
     """
+    if k < 1:
+        raise ConfigError(f"the class count k must be at least 1, got {k}")
     if n_pure_per_class * k > n:
         raise ConfigError(
             f"{k} classes x {n_pure_per_class} pure subjects exceed n={n}"
@@ -108,9 +110,17 @@ def random_item_params(
     return ItemParams(rho * b)
 
 
-def uses_signed_item_params(distribution) -> bool:
-    """Whether the default geometry draws item parameters from U(-1, 1)."""
-    return isinstance(distribution, (Normal, SignedBinary))
+def default_item_params(distribution, n_items: int, k: int, rho: float, rng, mean_range=None) -> ItemParams:
+    """Item parameters under the default policy: finite-support distributions
+    without a ``mean_range`` fill their admissible mean interval, Normal and
+    signed responses draw from U(-1, 1)."""
+    if mean_range is None and isinstance(distribution, GeneralDiscrete):
+        mean_range = discrete_mean_interval(distribution.support, distribution.scheme)
+    return random_item_params(
+        n_items, k, rho, rng,
+        signed=isinstance(distribution, (Normal, SignedBinary)),
+        mean_range=mean_range,
+    )
 
 
 def simulation_spec(
@@ -126,20 +136,13 @@ def simulation_spec(
     sparsity: float = 1.0,
     mean_range: Optional[tuple] = None,
 ) -> ModelSpec:
-    """Model spec with the default simulation geometry.
-
-    Finite-support distributions without an explicit ``mean_range`` target
-    their full admissible mean interval.
-    """
+    """Model spec with the default simulation geometry and item-parameter
+    policy (see ``default_item_params``)."""
     j = n // 2 if j is None else j
     n_pure = n // 4 if n_pure is None else n_pure
-    if mean_range is None and isinstance(distribution, GeneralDiscrete):
-        mean_range = discrete_mean_interval(distribution.support, distribution.scheme)
     membership = block_memberships(n, k, n_pure, mixed=mixed, rng=rng)
-    item_params = random_item_params(
-        j, k, rho if rho is not None else 1.0, rng,
-        signed=uses_signed_item_params(distribution),
-        mean_range=mean_range,
+    item_params = default_item_params(
+        distribution, j, k, rho if rho is not None else 1.0, rng, mean_range
     )
     return ModelSpec(
         membership=membership,

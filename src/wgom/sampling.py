@@ -23,6 +23,7 @@ from .types import (
     SampleDiagnostics,
     SignedBinary,
     Uniform,
+    check_support,
 )
 
 PROB_TOL = 1e-12
@@ -117,15 +118,6 @@ def _draw(dist, means: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 #   solve the remaining 2x2 system.
 
 
-def _check_support(support) -> tuple:
-    support = tuple(float(a) for a in support)
-    if len(support) < 2:
-        raise ValueError("discrete support needs at least 2 points")
-    if any(b <= a for a, b in zip(support, support[1:])):
-        raise ValueError("discrete support must be strictly increasing")
-    return support
-
-
 def _mean_locked_coeffs(support) -> tuple:
     # p2 = alpha * mean + beta; p1 = 1 - mean - p2.
     a0, a1, a2 = support
@@ -150,7 +142,7 @@ def discrete_mean_interval(support, scheme) -> tuple:
     (empty feasible set, or a degenerate free index whose solution is not
     unique).
     """
-    support = _check_support(support)
+    support = check_support(support)
     q_count = len(support)
 
     if scheme == "binary":
@@ -199,7 +191,7 @@ def construct_discrete(support, scheme, mean: float) -> np.ndarray:
         If the scheme has no valid solution, or a solved probability escapes
         [0, 1] by more than 1e-12.
     """
-    support = _check_support(support)
+    support = check_support(support)
     lo, hi = discrete_mean_interval(support, scheme)
     mean = float(mean)
     if not (lo - PROB_TOL <= mean <= hi + PROB_TOL):

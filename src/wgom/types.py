@@ -15,7 +15,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DimensionError, WgomError
+from .errors import ConfigError, DataFormatError, DimensionError, WgomError
 
 ROW_SUM_TOL = 1e-9
 RANK_RTOL = 1e-10
@@ -26,14 +26,35 @@ PURE_TOL_LOADED = 1e-6
 RANGE_TOL = 1e-12
 
 
-def _as_2d_float(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+def _checked_matrix(values, name: str) -> np.ndarray:
+    """The input gate: a 2-d, non-empty float array (float input is not copied);
+    a wrong shape raises ``DimensionError``, nan or inf ``DataFormatError``."""
+    arr = np.asarray(values, dtype=float)
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be 2-dimensional, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise DimensionError(f"{name} must be at least 1x1, got shape {arr.shape}")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise DataFormatError(f"{name} has a non-finite entry at ({i}, {j}): {arr[i, j]}")
+    return arr
+
+
+def _frozen_copy(values, name: str) -> np.ndarray:
+    arr = _checked_matrix(np.array(values, dtype=float), name)
     arr.setflags(write=False)
     return arr
+
+
+def check_support(support) -> tuple:
+    """A finite support as a tuple of at least 2 strictly increasing floats."""
+    support = tuple(float(a) for a in support)
+    if len(support) < 2:
+        raise ValueError("discrete support needs at least 2 points")
+    if any(b <= a for a, b in zip(support, support[1:])):
+        raise ValueError("discrete support must be strictly increasing")
+    return support
 
 
 @dataclass(frozen=True)
@@ -43,10 +64,7 @@ class ResponseMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _as_2d_float(self.values, "response matrix")
-        if not np.isfinite(arr).all():
-            raise ValueError("response matrix contains non-finite entries")
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _frozen_copy(self.values, "response matrix"))
 
     @property
     def n_subjects(self) -> int:
@@ -68,10 +86,7 @@ class MembershipMatrix:
     rows: np.ndarray
 
     def __post_init__(self):
-        arr = _as_2d_float(self.rows, "membership matrix")
-        if not np.isfinite(arr).all():
-            raise ValueError("membership matrix contains non-finite entries")
-        object.__setattr__(self, "rows", arr)
+        object.__setattr__(self, "rows", _frozen_copy(self.rows, "membership matrix"))
 
     @property
     def n_subjects(self) -> int:
@@ -94,15 +109,13 @@ class ItemParams:
     scale: Optional[float] = None  # always a float after construction
 
     def __post_init__(self):
-        arr = _as_2d_float(self.values, "item parameter matrix")
-        if not np.isfinite(arr).all():
-            raise ValueError("item parameter matrix contains non-finite entries")
+        arr = _frozen_copy(self.values, "item parameter matrix")
         object.__setattr__(self, "values", arr)
         scale = self.scale
         if scale is None:
             scale = float(np.abs(arr).max())
         if not (scale > 0):
-            raise ValueError("item parameter scale must be positive (all-zero matrix?)")
+            raise ConfigError("item parameter scale must be positive (all-zero matrix?)")
         object.__setattr__(self, "scale", float(scale))
 
     @property
@@ -250,11 +263,7 @@ class GeneralDiscrete:
     name = "discrete"
 
     def __post_init__(self):
-        support = tuple(float(a) for a in self.support)
-        if len(support) < 2:
-            raise ValueError("discrete support needs at least 2 points")
-        if any(b <= a for a, b in zip(support, support[1:])):
-            raise ValueError("discrete support must be strictly increasing")
+        support = check_support(self.support)
         object.__setattr__(self, "support", support)
         scheme = self.scheme
         if isinstance(scheme, str):
@@ -278,7 +287,7 @@ class GeneralDiscrete:
 
         lo, hi = discrete_mean_interval(self.support, self.scheme)
         means = np.asarray(means, dtype=float)
-        return (means >= lo - 1e-12) & (means <= hi + 1e-12)
+        return (means >= lo - RANGE_TOL) & (means <= hi + RANGE_TOL)
 
     def range_description(self) -> str:
         from .sampling import discrete_mean_interval
@@ -319,7 +328,7 @@ class ModelSpec:
                 f"parameters have {self.item_params.n_classes}"
             )
         if not (0.0 < self.sparsity <= 1.0):
-            raise ValueError(f"sparsity must lie in (0, 1], got {self.sparsity}")
+            raise ConfigError(f"sparsity must lie in (0, 1], got {self.sparsity}")
 
     @property
     def n_subjects(self) -> int:
@@ -364,17 +373,17 @@ class EstimationResult:
 
 
 def membership_array(membership) -> np.ndarray:
-    """Accept a MembershipMatrix or any array-like; return the 2-d float array."""
+    """Accept a MembershipMatrix or any array-like; return the checked 2-d float array."""
     if isinstance(membership, MembershipMatrix):
         return membership.rows
-    return _as_2d_float(membership, "membership matrix")
+    return _checked_matrix(membership, "membership matrix")
 
 
 def response_array(responses) -> np.ndarray:
-    """Accept a ResponseMatrix or any array-like; return the 2-d float array."""
+    """Accept a ResponseMatrix or any array-like; return the checked 2-d float array."""
     if isinstance(responses, ResponseMatrix):
         return responses.values
-    return _as_2d_float(responses, "response matrix")
+    return _checked_matrix(responses, "response matrix")
 
 
 def validate_model_spec(spec: ModelSpec, *, pure_tol: float = PURE_TOL_SAMPLED) -> list:

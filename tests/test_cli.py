@@ -273,6 +273,19 @@ def test_exit_code_config_error(tmp_path):
         )
     )
     assert main(["generate", str(infeasible), "--out", str(tmp_path / "o")]) == 2
+    zero_items = tmp_path / "zero_items.csv"
+    write_dense_csv(zero_items, np.zeros((10, 2)))
+    base = {"n": 20, "j": 10, "k": 2, "distribution": {"name": "bernoulli"}, "rho": 0.5}
+    for extra in (
+        {"sparsity": 1.5},
+        {"item_params_file": str(zero_items)},
+        {"n": "abc"},
+        {"k": 0},
+        {"j": -1},
+    ):
+        path = tmp_path / "extra.json"
+        path.write_text(json.dumps({**base, **extra}))
+        assert main(["generate", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_exit_code_data_error(tmp_path):

@@ -42,6 +42,8 @@ def test_block_memberships_fixed_and_random_mixed_rows():
         block_memberships(8, 2, 5)
     with pytest.raises(ConfigError):
         block_memberships(8, 2, 3, mixed=(0.5, 0.7))
+    with pytest.raises(ConfigError):
+        block_memberships(8, 0, 2)
 
 
 def test_random_item_params_modes():
