@@ -6,18 +6,22 @@ regression.  ``scgoma`` uses the left SVD factor of R as X and regresses on the
 rank-K reconstruction; ``rmsp`` uses R for both.  The oracle variants
 ``ideal_scgoma`` / ``ideal_rmsp`` check that a noiseless expected matrix has
 rank exactly K and then run the matching estimator, which recovers it exactly.
+
+``sweep_fitter`` fits every K of a class-count sweep from one decomposition:
+one top-K_max SVD for ``scgoma``, one K_max-pick vertex search for ``rmsp``.
 """
 
 from __future__ import annotations
 
 import warnings
+from functools import partial
 
 import numpy as np
 
-from .errors import DegenerateRankError
-from .linalg import top_k_svd, solve_small_inverse
+from .errors import DegenerateRankError, RankDeficiencyError
+from .linalg import TruncatedSVD, _decompose, _leading, solve_small_inverse, top_k_svd
 from .types import EstimationResult, MembershipMatrix, response_array
-from .vertex_hunting import successive_projection
+from .vertex_hunting import VertexIndexSet, _projection_prefix, successive_projection
 
 IDEAL_RANK_RTOL = 1e-10
 IDEAL_EXTRA_RANK_RTOL = 1e-8
@@ -35,11 +39,13 @@ def _normalize_clamped(z: np.ndarray, k: int, method: str) -> np.ndarray:
     if n_dead:
         if k > 1:
             # At k = 1 the fallback is the only possible membership anyway.
+            # stacklevel 5 skips _simplex_memberships, the per-k fit and its
+            # caller (scgoma, rmsp or select_k's sweep) to reach user code.
             warnings.warn(
                 f"{method}: {n_dead} subject rows clamped to zero; assigned "
                 f"uniform membership 1/{k}",
                 RuntimeWarning,
-                stacklevel=4,
+                stacklevel=5,
             )
         z = z.copy()
         z[dead] = 1.0 / k
@@ -62,14 +68,13 @@ def _check_exact_rank(matrix: np.ndarray, k: int) -> None:
         )
 
 
-def _simplex_memberships(x: np.ndarray, k: int, method: str):
-    """Vertex search on the rows of x, then Z = max(0, x C' (C C')^-1) for the
-    corners C = x[vertices], row-normalized.  Returns (pi, vertices, C)."""
-    vertices = successive_projection(x, k)
+def _simplex_memberships(x: np.ndarray, vertices: VertexIndexSet, method: str):
+    """Z = max(0, x C' (C C')^-1) for the corners C = x[vertices], row-normalized.
+    Returns (pi, C)."""
     corners = x[vertices.indices]
     gram_inv, _ = solve_small_inverse(corners @ corners.T)
     z = np.maximum(0.0, x @ corners.T @ gram_inv)
-    return _normalize_clamped(z, k, method), vertices, corners
+    return _normalize_clamped(z, len(vertices), method), corners
 
 
 def _item_regression(target_t_pi: np.ndarray, pi: np.ndarray) -> np.ndarray:
@@ -114,8 +119,12 @@ def scgoma(responses, k: int, *, seed: int = 0) -> EstimationResult:
         If k exceeds min(N, J).
     """
     r = response_array(responses)
-    svd = top_k_svd(r, k, seed=seed)
-    pi, vertices, _ = _simplex_memberships(svd.left, k, "scgoma")
+    return _scgoma_fit(r, top_k_svd(r, k, seed=seed))
+
+
+def _scgoma_fit(r: np.ndarray, svd: TruncatedSVD) -> EstimationResult:
+    vertices = successive_projection(svd.left, svd.k)
+    pi, _ = _simplex_memberships(svd.left, vertices, "scgoma")
     # Rank-k reconstruction target, never materialized: Rhat' Pi = V Sigma (U' Pi).
     theta = _item_regression((svd.right * svd.singulars) @ (svd.left.T @ pi), pi)
     return EstimationResult(
@@ -142,7 +151,11 @@ def rmsp(responses, k: int) -> EstimationResult:
     all-zero response matrix surfaces as a vertex-search rank deficiency.
     """
     r = response_array(responses)
-    pi, vertices, corners = _simplex_memberships(r, k, "rmsp")
+    return _rmsp_fit(r, successive_projection(r, k))
+
+
+def _rmsp_fit(r: np.ndarray, vertices: VertexIndexSet) -> EstimationResult:
+    pi, corners = _simplex_memberships(r, vertices, "rmsp")
     theta = _item_regression(r.T @ pi, pi)
     return EstimationResult(
         membership_hat=MembershipMatrix(pi),
@@ -150,3 +163,42 @@ def rmsp(responses, k: int) -> EstimationResult:
         pure_index_set=vertices.indices.tolist(),
         singular_values=np.linalg.svd(corners, compute_uv=False),
     )
+
+
+def sweep_fitter(responses, estimator, k_max: int, *, seed: int = 0):
+    """The per-k fit of a class-count sweep over k = 1..k_max.
+
+    Returns ``fit(k) -> EstimationResult``, which raises what the estimator
+    raises at k.  ``estimator`` is ``"scgoma"``, ``"rmsp"`` or a callable
+    ``(responses, k) -> EstimationResult``, which is called once per k.
+
+    The built-in estimators decompose R once per sweep.  ``"scgoma"`` fits k
+    on the first k triplets of one top-k_max SVD seeded with ``seed``; the
+    spectrum check stays per k, on that prefix.  On the dense SVD path this
+    equals ``scgoma(R, k, seed=seed)`` exactly.  On the randomized path the
+    one sketch has k_max + 10 columns where a single fit at k uses k + 10, so
+    the fits agree only up to the sketch's accuracy.  ``"rmsp"`` gives k the
+    first k picks of one k_max-pick vertex search, which are exactly the picks
+    of a k-pick search, since the search is greedy; if that search stops
+    after t picks, every k > t raises ``RankDeficiencyError``.
+    """
+    r = response_array(responses)
+    if callable(estimator):
+        return partial(estimator, r)
+    if estimator == "scgoma":
+        factors = _decompose(r, k_max, seed=seed)
+
+        def fit(k):
+            return _scgoma_fit(r, _leading(*factors, k))
+
+    elif estimator == "rmsp":
+        vertices, failure = _projection_prefix(r, k_max)
+
+        def fit(k):
+            if k > len(vertices):
+                raise RankDeficiencyError(f"k={k} needs {k} vertices: {failure}")
+            return _rmsp_fit(r, VertexIndexSet(vertices.indices[:k]))
+
+    else:
+        raise ValueError(f"unknown estimator {estimator!r}")
+    return fit

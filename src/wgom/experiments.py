@@ -99,7 +99,10 @@ def random_item_params(
     not start at zero); ``rho`` is ignored in that mode.
     """
     if mean_range is not None:
-        lo, hi = float(mean_range[0]), float(mean_range[1])
+        try:
+            lo, hi = float(mean_range[0]), float(mean_range[1])
+        except (TypeError, ValueError, IndexError) as exc:
+            raise ConfigError(f"mean_range must be a pair of numbers, got {mean_range!r}") from exc
         if not lo < hi:
             raise ConfigError(f"mean_range must satisfy lo < hi, got ({lo}, {hi})")
         values = lo + (hi - lo) * rng.random((n_items, k))
@@ -223,16 +226,15 @@ def normalize_family(family: str) -> str:
 
 def _point_params(family: str, value, base: dict) -> dict:
     params = dict(base)
-    if family == "rho":
-        params["rho"] = float(value)
-    elif family == "n":
-        params["n"] = int(value)
-    elif family == "k":
-        params["k"] = int(value)
-    elif family == "p":
-        params["sparsity"] = float(value)
-    else:
-        raise ConfigError(f"unknown experiment family {family!r}; pick one of {EXPERIMENT_FAMILIES}")
+    key, kind = {
+        "rho": ("rho", float), "n": ("n", int), "k": ("k", int), "p": ("sparsity", float)
+    }[family]
+    try:
+        params[key] = kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"experiment value {value!r} for family {family!r} must be {kind.__name__}"
+        ) from exc
     return params
 
 

@@ -82,14 +82,26 @@ def top_k_svd(matrix, k: int, *, seed: int = 0, method: str = "auto") -> Truncat
         raise DimensionError(f"k={k} outside [1, min(N, J)] = [1, {min(n, m)}]")
     if method not in ("auto", "dense", "randomized"):
         raise ValueError(f"unknown method {method!r}")
+    return _leading(*_decompose(a, k, seed=seed, method=method), k)
+
+
+def _decompose(a: np.ndarray, k: int, *, seed: int = 0, method: str = "auto"):
+    """Unchecked ``(u, s, vt)`` holding at least the top-k triplets of ``a``.
+
+    The dense path returns the full thin SVD.  The randomized path sketches
+    k + 10 columns, so its leading triplets depend on k.
+    """
     if method == "auto":
-        method = "dense" if min(n, m) <= DENSE_MAX_SIDE else "randomized"
-
+        method = "dense" if min(a.shape) <= DENSE_MAX_SIDE else "randomized"
     if method == "dense":
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
-    else:
-        u, s, vt = _randomized_svd(a, k, seed=seed)
+        return np.linalg.svd(a, full_matrices=False)
+    return _randomized_svd(a, k, seed=seed)
 
+
+def _leading(u: np.ndarray, s: np.ndarray, vt: np.ndarray, k: int) -> TruncatedSVD:
+    """The first k triplets of a decomposition as contiguous, sign-fixed
+    copies, after the spectrum check at k.  Sign fixing is per column, so the
+    result does not depend on how many triplets the decomposition holds."""
     _check_spectrum(s, k)
     u = u[:, :k].copy()
     s = s[:k].copy()

@@ -47,7 +47,12 @@ def write_coordinate(path, array) -> None:
 
 
 def read_coordinate(path) -> np.ndarray:
-    """Densify a 1-indexed coordinate file; duplicate entries accumulate."""
+    """Densify a 1-indexed coordinate file; duplicate entries accumulate.
+
+    Every entry is read and checked against the header before the dense
+    array is allocated, and an allocation the header makes impossible is a
+    ``DataFormatError``.
+    """
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 3:
@@ -58,8 +63,7 @@ def read_coordinate(path) -> np.ndarray:
             raise DataFormatError(f"{path}: bad coordinate header {header}") from exc
         if n < 1 or j < 1 or nnz < 0:
             raise DataFormatError(f"{path}: nonpositive dimensions in header")
-        dense = np.zeros((n, j))
-        count = 0
+        rows, cols, values = [], [], []
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
@@ -74,10 +78,19 @@ def read_coordinate(path) -> np.ndarray:
                 raise DataFormatError(
                     f"{path}:{lineno}: index ({row}, {col}) outside 1..{n} x 1..{j}"
                 )
-            dense[row - 1, col - 1] += value
-            count += 1
-    if count != nnz:
-        raise DataFormatError(f"{path}: header promises {nnz} entries, found {count}")
+            rows.append(row - 1)
+            cols.append(col - 1)
+            values.append(value)
+    if len(values) != nnz:
+        raise DataFormatError(f"{path}: header promises {nnz} entries, found {len(values)}")
+    try:
+        dense = np.zeros((n, j))
+    except MemoryError as exc:
+        raise DataFormatError(
+            f"{path}: cannot allocate the {n} x {j} matrix its header declares"
+        ) from exc
+    # Unbuffered, in file order: duplicates accumulate as repeated += would.
+    np.add.at(dense, (rows, cols), values)
     return dense
 
 

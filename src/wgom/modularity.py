@@ -133,36 +133,35 @@ def select_k(
 ) -> tuple[int, list]:
     """Pick the class count whose estimated memberships maximize modularity.
 
-    Runs ``estimator`` for every k in 1..k_max, scores each membership matrix,
+    Fits ``estimator`` for every k in 1..k_max, scores each membership matrix,
     and returns ``(k_hat, curve)`` where ``curve`` lists the successful
     ``(k, modularity)`` pairs in order.  Estimator failures at a given k are
     skipped (that k is absent from the curve).  Ties go to the smallest k.
 
     ``estimator`` is ``"scgoma"``, ``"rmsp"``, or any callable
-    ``(responses, k) -> EstimationResult``.
+    ``(responses, k) -> EstimationResult``.  The built-in estimators share one
+    decomposition across the sweep (see ``estimation.sweep_fitter``):
+    ``"scgoma"`` fits every k from one top-k_max SVD seeded with ``seed`` and
+    ``"rmsp"`` from one k_max-pick successive-projection pass.  Each fit then
+    equals the single-k ``scgoma``/``rmsp`` fit exactly, except on the
+    randomized SVD path (min(N, J) > 512): there the one k_max + 10 column
+    sketch leaves the values up to the true class count and at k_max within
+    about 1e-7 of the single-k fits, and moves noise-level values by up to
+    about 0.04.
     """
     from . import estimation
 
     r = response_array(responses)
     if not 1 <= k_max <= min(r.shape):
         raise DimensionError(f"k_max={k_max} outside [1, min(N, J)] = [1, {min(r.shape)}]")
-
-    if callable(estimator):
-        run = estimator
-    elif estimator == "scgoma":
-        def run(values, k):
-            return estimation.scgoma(values, k, seed=seed)
-    elif estimator == "rmsp":
-        run = estimation.rmsp
-    else:
-        raise ValueError(f"unknown estimator {estimator!r}")
+    fit = estimation.sweep_fitter(r, estimator, k_max, seed=seed)
 
     scorer = _make_scorer(r)
     curve = []
     best_k, best_q = None, -np.inf
     for k in range(1, k_max + 1):
         try:
-            result = run(r, k)
+            result = fit(k)
         except (DegenerateRankError, RankDeficiencyError, DimensionError):
             continue
         q = float(scorer.score(result.membership_hat))

@@ -50,6 +50,20 @@ def successive_projection(rows, k: int) -> VertexIndexSet:
         If the residual matrix vanishes (max row norm < 1e-12) before k rows
         were selected.
     """
+    vertices, failure = _projection_prefix(rows, k)
+    if failure is not None:
+        raise RankDeficiencyError(failure)
+    return vertices
+
+
+def _projection_prefix(rows, k: int) -> tuple[VertexIndexSet, str | None]:
+    """Successive projection that stops early instead of raising.
+
+    Returns ``(vertices, failure)``: the picks made before the residual
+    vanished, and ``None`` or the reason the search stopped short of k.  The
+    search is greedy, so the first t picks of a k-pick run are the picks of a
+    t-pick run.
+    """
     x = np.asarray(rows, dtype=float)
     if x.ndim != 2:
         raise DimensionError(f"expected a 2-d row matrix, got ndim={x.ndim}")
@@ -65,7 +79,7 @@ def successive_projection(rows, k: int) -> VertexIndexSet:
         norms = np.linalg.norm(residual, axis=1)
         top = norms.max()
         if top < ZERO_RESIDUAL_TOL:
-            raise RankDeficiencyError(
+            return VertexIndexSet(indices=chosen[:t]), (
                 f"residual vanished after {t} of {k} selections "
                 f"(max row norm {top:.3g})"
             )
@@ -79,7 +93,7 @@ def successive_projection(rows, k: int) -> VertexIndexSet:
             direction -= basis[:t].T @ (basis[:t] @ direction)
         norm = np.linalg.norm(direction)
         if norm < ZERO_RESIDUAL_TOL:
-            raise RankDeficiencyError(
+            return VertexIndexSet(indices=chosen[:t]), (
                 f"selected direction collapsed after re-orthogonalization "
                 f"at step {t + 1} of {k}"
             )
@@ -87,4 +101,4 @@ def successive_projection(rows, k: int) -> VertexIndexSet:
         basis[t] = direction
         residual -= np.outer(residual @ direction, direction)
 
-    return VertexIndexSet(indices=chosen)
+    return VertexIndexSet(indices=chosen), None

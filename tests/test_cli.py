@@ -282,10 +282,16 @@ def test_exit_code_config_error(tmp_path):
         {"n": "abc"},
         {"k": 0},
         {"j": -1},
+        {"mean_range": "ab"},
     ):
         path = tmp_path / "extra.json"
         path.write_text(json.dumps({**base, **extra}))
         assert main(["generate", str(path), "--out", str(tmp_path / "o")]) == 2
+    experiment = tmp_path / "experiment.json"
+    experiment.write_text(
+        json.dumps({"family": "rho", "values": ["abc"], "distribution": {"name": "bernoulli"}})
+    )
+    assert main(["experiment", str(experiment), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_exit_code_data_error(tmp_path):
@@ -295,6 +301,10 @@ def test_exit_code_data_error(tmp_path):
     small = tmp_path / "small.csv"
     write_dense_csv(small, np.eye(3))
     assert main(["estimate", str(small), "--k", "5", "--out", str(tmp_path / "o")]) == 3
+    # A header whose dense array cannot be allocated, with no entries to read.
+    huge = tmp_path / "huge.txt"
+    huge.write_text("10000000 10000000 0\n")
+    assert main(["estimate", str(huge), "--k", "2", "--out", str(tmp_path / "o")]) == 3
 
 
 def test_exit_code_numerical_error(tmp_path):

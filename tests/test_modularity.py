@@ -131,9 +131,11 @@ def test_select_k_skips_failing_ks():
     pi = np.vstack([np.eye(2), random_row_stochastic(rng, 10, 2)])
     theta = rng.random((8, 2))
     r0 = pi @ theta.T  # exactly rank 2: k >= 3 must fail and be skipped
-    k_hat, curve = select_k(r0, "scgoma", k_max=5)
-    assert [k for k, _ in curve] == [1, 2]
-    assert k_hat == 2
+    # rmsp: the one vertex search of the sweep runs out after two picks.
+    for estimator in ("scgoma", "rmsp"):
+        k_hat, curve = select_k(r0, estimator, k_max=5)
+        assert [k for k, _ in curve] == [1, 2]
+        assert k_hat == 2
 
 
 def test_select_k_validates_k_max():

@@ -143,6 +143,47 @@ def test_caller_arrays_are_not_mutated(noisy_k, model):
         assert np.array_equal(array, original) and array.flags.writeable
 
 
+# select_k fits the built-in estimators from one decomposition per sweep; a
+# callable estimator is fitted per k and is the reference.
+def per_k(method, seed):
+    if method == "scgoma":
+        return lambda values, k: scgoma(values, k, seed=seed)
+    return rmsp
+
+
+# Over-specified k clamps rows on these small inputs; that warning is expected.
+@pytest.mark.filterwarnings("ignore:.*clamped to zero:RuntimeWarning")
+@SETTINGS
+@given(
+    r=st.one_of(noisy.map(lambda rk: rk[0]), models.map(lambda model: model[2])),
+    k_max=st.integers(1, 8),
+    method=st.sampled_from(["scgoma", "rmsp"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_select_k_sweep_equals_per_k_fits_on_dense_path(r, k_max, method, seed):
+    k_max = min(k_max, *r.shape)
+    assert select_k(r, method, k_max, seed=seed) == select_k(r, per_k(method, seed), k_max)
+
+
+@pytest.mark.filterwarnings("ignore:.*clamped to zero:RuntimeWarning")
+def test_select_k_sweep_on_randomized_path():
+    # Min side 520 is above the dense limit.  The sweep's one sketch has
+    # k_max + 10 columns where a fit at k has k + 10, so only the values up to
+    # the true k (to 4 decimals) and the value at k_max (same sketch) match.
+    rng = np.random.default_rng(11)
+    spec = simulation_spec(Binomial(m=5), n=1040, rho=3.0, rng=rng)
+    r, _ = sample_response(spec, rng)
+    k_max = 6
+    k_hat, curve = select_k(r, "scgoma", k_max, seed=4)
+    ref_k_hat, ref_curve = select_k(r, per_k("scgoma", 4), k_max)
+    assert k_hat == ref_k_hat == 3
+    assert [k for k, _ in curve] == [k for k, _ in ref_curve]
+    q, ref_q = dict(curve), dict(ref_curve)
+    for k in (1, 2, 3):
+        assert abs(q[k] - ref_q[k]) <= 5e-5
+    assert q[k_max] == ref_q[k_max]
+
+
 # ---------------------------------------------------------------------------
 # CLI fuzz
 # ---------------------------------------------------------------------------
