@@ -35,7 +35,7 @@ from .linalg import TruncatedSVD, solve_small_inverse, top_k_svd
 from .vertex_hunting import VertexIndexSet, successive_projection
 from .sampling import construct_discrete, expected_responses, sample_response
 from .estimation import ideal_rmsp, ideal_scgoma, rmsp, scgoma
-from .modularity import ModularityDecomposition, fuzzy_weighted_modularity, select_k
+from .modularity import fuzzy_weighted_modularity, select_k
 from .metrics import (
     MembershipProfile,
     accuracy_rate,
@@ -73,7 +73,6 @@ __all__ = [
     "MembershipMatrix",
     "MembershipProfile",
     "ModelSpec",
-    "ModularityDecomposition",
     "Normal",
     "Poisson",
     "RankDeficiencyError",

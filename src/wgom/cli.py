@@ -140,7 +140,7 @@ def _spec_from_config(config: dict) -> tuple[ModelSpec, int]:
             k,
             _config_value(config, "rho", float, 1.0),
             rng,
-            config.get("mean_range") or None,
+            config.get("mean_range"),
         )
 
     spec = ModelSpec(
@@ -279,7 +279,7 @@ def cmd_experiment(args) -> int:
             sparsity=_config_value(config, "sparsity", float, 1.0),
             k_max=k_max,
             threads=args.threads,
-            mean_range=tuple(config["mean_range"]) if config.get("mean_range") else None,
+            mean_range=config.get("mean_range"),
         )
         name = f"results_{method}.{'json' if args.format == 'json' else 'csv'}"
         path = out / name

@@ -82,6 +82,19 @@ def block_memberships(n: int, k: int, n_pure_per_class: int, mixed="uniform", rn
     return MembershipMatrix(rows)
 
 
+def _mean_range_pair(mean_range) -> Optional[tuple]:
+    """``mean_range`` as a float pair (lo, hi) with lo < hi, or None; else ``ConfigError``."""
+    if mean_range is None:
+        return None
+    try:
+        lo, hi = (float(bound) for bound in mean_range)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"mean_range must be a pair of numbers, got {mean_range!r}") from exc
+    if not lo < hi:
+        raise ConfigError(f"mean_range must satisfy lo < hi, got ({lo}, {hi})")
+    return lo, hi
+
+
 def random_item_params(
     n_items: int,
     k: int,
@@ -98,13 +111,9 @@ def random_item_params(
     (useful for finite-support distributions whose admissible interval does
     not start at zero); ``rho`` is ignored in that mode.
     """
+    mean_range = _mean_range_pair(mean_range)
     if mean_range is not None:
-        try:
-            lo, hi = float(mean_range[0]), float(mean_range[1])
-        except (TypeError, ValueError, IndexError) as exc:
-            raise ConfigError(f"mean_range must be a pair of numbers, got {mean_range!r}") from exc
-        if not lo < hi:
-            raise ConfigError(f"mean_range must satisfy lo < hi, got ({lo}, {hi})")
+        lo, hi = mean_range
         values = lo + (hi - lo) * rng.random((n_items, k))
         return ItemParams(values)
     if not rho > 0:
@@ -266,6 +275,7 @@ def run_experiment(
     if method not in ("scgoma", "rmsp"):
         raise ConfigError(f"unknown method {method!r}")
     estimator = estimation.scgoma if method == "scgoma" else estimation.rmsp
+    mean_range = _mean_range_pair(mean_range)
 
     base = {"n": int(n), "k": int(k), "rho": float(rho), "sparsity": float(sparsity)}
     rows = []

@@ -4,115 +4,70 @@ The similarity graph is A = R R'; its positive and negative parts are scored
 separately with membership-weighted modularities and combined as
 Q = (m+ Q+ - m- Q-) / (m+ + m-).  The class count is chosen as the k in
 [1, k_max] whose estimated memberships maximize Q.
+
+One scorer serves every input size and scores any number of membership
+matrices at once.  Mixed-sign R is scored in one pass over A in row blocks,
+so only a block of A (about ``BLOCK_BYTES``) is held at a time.  Single-sign
+R has A = A+ >= 0 and is scored in product form, without forming A.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateRankError, DimensionError, RankDeficiencyError, WgomError
 from .types import membership_array, response_array
 
-# Above this many subjects, A = RR' (N x N) is only materialized when it has
-# mixed signs; single-sign inputs use a product form with identical results.
-MATERIALIZE_MAX_SUBJECTS = 4096
+# Byte budget of one row block of A = RR' in the mixed-sign pass.
+BLOCK_BYTES = 4 * 2**20
 
 
-def _part_score(trace_term: float, degree_vec_pi: np.ndarray, m: float) -> float:
-    if m <= 0.0:
-        return 0.0
-    return (trace_term - (degree_vec_pi @ degree_vec_pi) / (2.0 * m)) / (2.0 * m)
+def _scores(r: np.ndarray, memberships) -> list:
+    """Modularity of each membership matrix in ``memberships`` against A = RR'."""
+    n = r.shape[0]
+    pis = [membership_array(membership) for membership in memberships]
+    for pi in pis:
+        if pi.shape[0] != n:
+            raise DimensionError(f"membership has {pi.shape[0]} subjects, responses have {n}")
+    # All K concatenated: per-column trace terms pi_c' A pi_c and degree sums
+    # d' pi_c, reduced per K below.
+    pi_all = np.hstack(pis)
+    if (r >= 0.0).all() or (r <= 0.0).all():
+        d_plus = r @ (r.T @ np.ones(n))
+        d_minus = np.zeros(n)
+        t_plus = ((r.T @ pi_all) ** 2).sum(axis=0)
+        t_minus = np.zeros(pi_all.shape[1])
+    else:
+        d_plus, d_minus = np.empty(n), np.empty(n)
+        t_plus = t_minus = np.zeros(pi_all.shape[1])
+        rows = max(1, BLOCK_BYTES // (8 * n))
+        for start in range(0, n, rows):
+            block = slice(start, start + rows)
+            a = r[block] @ r.T
+            a_plus = np.maximum(0.0, a)
+            a_minus = a_plus - a
+            d_plus[block] = a_plus.sum(axis=1)
+            d_minus[block] = a_minus.sum(axis=1)
+            t_plus = t_plus + ((a_plus @ pi_all) * pi_all[block]).sum(axis=0)
+            t_minus = t_minus + ((a_minus @ pi_all) * pi_all[block]).sum(axis=0)
 
+    starts = np.cumsum([0] + [pi.shape[1] for pi in pis[:-1]])
+    m_plus, m_minus = float(d_plus.sum() / 2.0), float(d_minus.sum() / 2.0)
 
-@dataclass(frozen=True)
-class ModularityDecomposition:
-    """Sign-split similarity graph of a response matrix.
+    def part(t, d, m):
+        if m <= 0.0:
+            return np.zeros(len(pis))
+        degree = np.add.reduceat((d @ pi_all) ** 2, starts)
+        return (np.add.reduceat(t, starts) - degree / (2.0 * m)) / (2.0 * m)
 
-    Holds A+ = max(0, A) and A- = max(0, -A) for A = R R', their degree
-    vectors and half degree sums.  ``score`` evaluates the fuzzy weighted
-    modularity of a membership matrix against this decomposition.
-    """
-
-    a_plus: np.ndarray
-    a_minus: np.ndarray
-    d_plus: np.ndarray
-    d_minus: np.ndarray
-    m_plus: float
-    m_minus: float
-
-    @classmethod
-    def from_responses(cls, responses) -> "ModularityDecomposition":
-        r = response_array(responses)
-        a = r @ r.T
-        a_plus = np.maximum(0.0, a)
-        a_minus = np.maximum(0.0, -a)
-        d_plus = a_plus.sum(axis=1)
-        d_minus = a_minus.sum(axis=1)
-        return cls(
-            a_plus=a_plus,
-            a_minus=a_minus,
-            d_plus=d_plus,
-            d_minus=d_minus,
-            m_plus=float(d_plus.sum() / 2.0),
-            m_minus=float(d_minus.sum() / 2.0),
-        )
-
-    def score(self, membership) -> float:
-        pi = membership_array(membership)
-        if pi.shape[0] != self.a_plus.shape[0]:
-            raise DimensionError(
-                f"membership has {pi.shape[0]} subjects, responses have "
-                f"{self.a_plus.shape[0]}"
-            )
-        if pi.shape[1] == 1:
-            # One class puts every pair in the same block; the modularity
-            # matrix annihilates constant memberships identically.
-            return 0.0
-        total = self.m_plus + self.m_minus
-        if total <= 0.0:
-            return 0.0
-        q_plus = _part_score(
-            float(np.trace(pi.T @ (self.a_plus @ pi))),
-            self.d_plus @ pi,
-            self.m_plus,
-        )
-        q_minus = _part_score(
-            float(np.trace(pi.T @ (self.a_minus @ pi))),
-            self.d_minus @ pi,
-            self.m_minus,
-        )
-        return (self.m_plus * q_plus - self.m_minus * q_minus) / total
-
-
-class _SingleSignScorer:
-    """Product-form scorer for single-sign A = RR', never materializing A."""
-
-    def __init__(self, r: np.ndarray):
-        self.r = r
-        self.d = r @ (r.T @ np.ones(r.shape[0]))
-        self.m = float(self.d.sum() / 2.0)
-
-    def score(self, membership) -> float:
-        pi = membership_array(membership)
-        if pi.shape[0] != self.r.shape[0]:
-            raise DimensionError(
-                f"membership has {pi.shape[0]} subjects, responses have "
-                f"{self.r.shape[0]}"
-            )
-        if pi.shape[1] == 1:
-            return 0.0
-        if self.m <= 0.0:
-            return 0.0
-        rt_pi = self.r.T @ pi
-        return _part_score(float((rt_pi**2).sum()), self.d @ pi, self.m)
-
-
-def _make_scorer(r: np.ndarray):
-    if r.shape[0] > MATERIALIZE_MAX_SUBJECTS and ((r >= 0.0).all() or (r <= 0.0).all()):
-        return _SingleSignScorer(r)
-    return ModularityDecomposition.from_responses(r)
+    q = (m_plus * part(t_plus, d_plus, m_plus) - m_minus * part(t_minus, d_minus, m_minus))
+    total = m_plus + m_minus
+    # One class puts every pair in the same block; the modularity matrix
+    # annihilates constant memberships identically.
+    return [
+        0.0 if pi.shape[1] == 1 or total <= 0.0 else float(value / total)
+        for pi, value in zip(pis, q)
+    ]
 
 
 def fuzzy_weighted_modularity(responses, membership) -> float:
@@ -121,7 +76,7 @@ def fuzzy_weighted_modularity(responses, membership) -> float:
     Zero by definition for a single class, and when the graph is empty
     (m+ = m- = 0).
     """
-    return _make_scorer(response_array(responses)).score(membership)
+    return _scores(response_array(responses), [membership])[0]
 
 
 def select_k(
@@ -137,6 +92,8 @@ def select_k(
     and returns ``(k_hat, curve)`` where ``curve`` lists the successful
     ``(k, modularity)`` pairs in order.  Estimator failures at a given k are
     skipped (that k is absent from the curve).  Ties go to the smallest k.
+    All fits run first; their memberships are then scored together in one
+    pass over A = RR' in row blocks (single-sign R never forms A).
 
     ``estimator`` is ``"scgoma"``, ``"rmsp"``, or any callable
     ``(responses, k) -> EstimationResult``.  The built-in estimators share one
@@ -156,18 +113,14 @@ def select_k(
         raise DimensionError(f"k_max={k_max} outside [1, min(N, J)] = [1, {min(r.shape)}]")
     fit = estimation.sweep_fitter(r, estimator, k_max, seed=seed)
 
-    scorer = _make_scorer(r)
-    curve = []
-    best_k, best_q = None, -np.inf
+    fitted = {}
     for k in range(1, k_max + 1):
         try:
-            result = fit(k)
+            fitted[k] = fit(k).membership_hat
         except (DegenerateRankError, RankDeficiencyError, DimensionError):
             continue
-        q = float(scorer.score(result.membership_hat))
-        curve.append((k, q))
-        if q > best_q:
-            best_k, best_q = k, q
-    if best_k is None:
+    if not fitted:
         raise WgomError(f"estimation failed for every k in 1..{k_max}")
+    curve = list(zip(fitted, _scores(r, fitted.values())))
+    best_k, _ = max(curve, key=lambda point: (point[1], -point[0]))
     return best_k, curve

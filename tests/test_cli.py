@@ -288,10 +288,13 @@ def test_exit_code_config_error(tmp_path):
         path.write_text(json.dumps({**base, **extra}))
         assert main(["generate", str(path), "--out", str(tmp_path / "o")]) == 2
     experiment = tmp_path / "experiment.json"
-    experiment.write_text(
-        json.dumps({"family": "rho", "values": ["abc"], "distribution": {"name": "bernoulli"}})
-    )
-    assert main(["experiment", str(experiment), "--out", str(tmp_path / "o")]) == 2
+    sweep = {
+        "family": "rho", "values": [1.0], "n": 40, "replicates": 1,
+        "distribution": {"name": "bernoulli"},
+    }
+    for extra in ({"values": ["abc"]}, {"mean_range": 5}, {"mean_range": "ab"}):
+        experiment.write_text(json.dumps({**sweep, **extra}))
+        assert main(["experiment", str(experiment), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_exit_code_data_error(tmp_path):

@@ -1,17 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from wgom import (
     Binomial,
     DimensionError,
-    ModularityDecomposition,
+    Normal,
     WgomError,
     fuzzy_weighted_modularity,
     sample_response,
+    scgoma,
     select_k,
     simulation_spec,
 )
-from wgom.modularity import _SingleSignScorer
 
 from helpers import modularity_double_sum, random_row_stochastic
 
@@ -33,25 +35,14 @@ def test_single_class_membership_scores_exactly_zero():
 
 
 def test_nonnegative_responses_reduce_to_positive_part():
+    # Nonnegative and nonpositive R both give A = RR' >= 0, scored in product form.
     rng = np.random.default_rng(2)
     r = rng.random((15, 10))
     pi = random_row_stochastic(rng, 15, 3)
-    decomp = ModularityDecomposition.from_responses(r)
-    assert decomp.m_minus == 0.0
-    assert np.array_equal(decomp.a_minus, np.zeros((15, 15)))
-    assert fuzzy_weighted_modularity(r, pi) == pytest.approx(
-        modularity_double_sum(r, pi), abs=1e-12
-    )
-
-
-def test_sign_split_reconstructs_similarity():
-    rng = np.random.default_rng(3)
-    r = rng.standard_normal((18, 9))
-    decomp = ModularityDecomposition.from_responses(r)
-    assert np.abs((decomp.a_plus - decomp.a_minus) - r @ r.T).max() <= 1e-10
-    assert np.abs(decomp.a_plus - decomp.a_plus.T).max() == 0.0
-    assert np.allclose(decomp.d_plus, decomp.a_plus.sum(axis=1))
-    assert decomp.m_plus == pytest.approx(decomp.d_plus.sum() / 2.0)
+    for signed in (r, -r):
+        assert fuzzy_weighted_modularity(signed, pi) == pytest.approx(
+            modularity_double_sum(signed, pi), abs=1e-12
+        )
 
 
 def test_modularity_bounded_by_one_on_random_instances():
@@ -62,13 +53,19 @@ def test_modularity_bounded_by_one_on_random_instances():
         assert abs(fuzzy_weighted_modularity(r, pi)) <= 1.0
 
 
-def test_product_form_scorer_matches_decomposition():
+def test_mixed_sign_scoring_holds_less_than_one_similarity_matrix():
+    # A = RR' is walked in row blocks; one N x N float array would be 72 MB.
     rng = np.random.default_rng(5)
-    r = rng.random((30, 12))  # single sign
-    pi = random_row_stochastic(rng, 30, 4)
-    direct = ModularityDecomposition.from_responses(r).score(pi)
-    product = _SingleSignScorer(r).score(pi)
-    assert abs(direct - product) <= 1e-10
+    n = 3000
+    r = rng.standard_normal((n, 10))
+    pi = random_row_stochastic(rng, n, 3)
+    tracemalloc.start()
+    try:
+        fuzzy_weighted_modularity(r, pi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
 
 
 def test_all_zero_responses_score_zero():
@@ -93,6 +90,21 @@ def test_select_k_finds_true_class_count():
     assert k_hat == 3
     assert curve[0] == (1, 0.0)
     assert len(curve) == 6
+
+
+@pytest.mark.filterwarnings("ignore:.*clamped to zero:RuntimeWarning")
+def test_select_k_curve_scores_each_fit_alone():
+    # select_k scores all memberships in one batch; each K must read its own columns.
+    rng = np.random.default_rng(8)
+    spec = simulation_spec(Normal(sigma2=1.0), n=120, rho=2.0, rng=rng)
+    responses, _ = sample_response(spec, rng)
+    r = responses.values
+    assert (r < 0).any() and (r > 0).any()
+    _, curve = select_k(r, "scgoma", k_max=6)
+    assert [k for k, _ in curve] == list(range(1, 7))
+    for k, q in curve:
+        alone = fuzzy_weighted_modularity(r, scgoma(r, k).membership_hat)
+        assert abs(q - alone) <= 1e-12
 
 
 def test_constant_matrix_falls_back_to_one_class():

@@ -1,4 +1,4 @@
-"""Property tests for the estimators and the input gate.
+"""Property tests for the estimators, the modularity scorer and the input gate.
 
 Each property draws small inputs with ``hypothesis``; example counts are
 bounded so the file stays fast.  The CLI fuzz test runs ``main`` in-process on
@@ -9,6 +9,7 @@ exception.
 import contextlib
 import io
 import re
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -29,9 +30,10 @@ from wgom import (
     select_k,
     simulation_spec,
 )
+from wgom import modularity
 from wgom.cli import main
 
-from helpers import random_row_stochastic
+from helpers import modularity_double_sum, random_row_stochastic
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 ESTIMATORS = (scgoma, rmsp)
@@ -182,6 +184,42 @@ def test_select_k_sweep_on_randomized_path():
     for k in (1, 2, 3):
         assert abs(q[k] - ref_q[k]) <= 5e-5
     assert q[k_max] == ref_q[k_max]
+
+
+def signed_responses(seed, kind, n, j):
+    """An n x j response matrix of one sign pattern."""
+    r = np.random.default_rng(seed).standard_normal((n, j))
+    return {
+        "mixed": r,
+        "nonnegative": np.abs(r),
+        "nonpositive": -np.abs(r),
+        "zero": np.zeros((n, j)),
+        "rank-1": np.outer(r[:, 0], r[0]),
+    }[kind]
+
+
+@SETTINGS
+@given(
+    r=st.builds(
+        signed_responses,
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["mixed", "nonnegative", "nonpositive", "zero", "rank-1"]),
+        n=st.integers(5, 25),
+        j=st.integers(1, 10),
+    ),
+    ks=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    rows=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_modularity_equals_double_sum_oracle(r, ks, rows, seed):
+    n = r.shape[0]
+    rng = np.random.default_rng(seed)
+    pis = [random_row_stochastic(rng, n, k) for k in ks]
+    # Blocks of `rows` subjects: several per pass, the last one ragged unless rows divides n.
+    with patch.object(modularity, "BLOCK_BYTES", 8 * n * rows):
+        scores = modularity._scores(r, pis)
+    for pi, q in zip(pis, scores):
+        assert abs(q - modularity_double_sum(r, pi)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
