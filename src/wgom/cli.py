@@ -250,6 +250,9 @@ def cmd_experiment(args) -> int:
     family = normalize_family(config["family"])
     distribution = distribution_from_config(config["distribution"])
     methods = config.get("methods", ["scgoma"])
+    for key, value in (("methods", methods), ("values", config["values"])):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"config key {key!r} must be a non-empty list, got {value!r}")
     seed = args.seed if args.seed is not None else _config_value(config, "seed", int, 0)
     replicates = args.replicates or _config_value(config, "replicates", int, 20)
     k_max = args.k_max or _config_value(config, "k_max", int, 15)

@@ -203,7 +203,7 @@ def distribution_from_config(config: dict):
                 support=tuple(config["support"]),
                 scheme=config.get("scheme", 0),
             )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad distribution config {config!r}: {exc}") from exc
     raise ConfigError(f"unknown distribution name {name!r}")
 

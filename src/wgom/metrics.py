@@ -2,7 +2,9 @@
 
 Latent class labels are arbitrary, so both error metrics minimize over all
 K x K column permutations.  Their objectives decompose into per-column costs,
-which makes linear assignment an exact minimizer at any K.
+which makes linear assignment an exact minimizer at any K.  Its solver,
+``scipy.optimize.linear_sum_assignment``, is imported on the first call to
+an error metric, so importing ``wgom`` loads numpy and nothing heavier.
 """
 
 from __future__ import annotations
@@ -10,10 +12,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .errors import DimensionError
-from .types import membership_array, response_array
+from .errors import DataFormatError, DimensionError
+from .types import _checked_matrix, membership_array, response_array
 
 
 def _aligned_pair(estimate, truth) -> tuple[np.ndarray, np.ndarray]:
@@ -22,6 +23,14 @@ def _aligned_pair(estimate, truth) -> tuple[np.ndarray, np.ndarray]:
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch: estimate {a.shape} vs truth {b.shape}")
     return a, b
+
+
+def _matched_cost(cost: np.ndarray) -> float:
+    """The smallest total cost of a one-to-one column matching."""
+    from scipy.optimize import linear_sum_assignment
+
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].sum())
 
 
 def hamming_error(pi_hat, pi_true) -> float:
@@ -34,23 +43,21 @@ def hamming_error(pi_hat, pi_true) -> float:
     est, true = _aligned_pair(pi_hat, pi_true)
     n = est.shape[0]
     cost = np.abs(est[:, :, None] - true[:, None, :]).sum(axis=0)
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].sum() / n)
+    return _matched_cost(cost) / n
 
 
 def relative_error(theta_hat, theta_true) -> float:
     """Frobenius discrepancy of the item parameters relative to the truth's
     norm, minimized over column permutations."""
-    est = np.asarray(theta_hat, dtype=float)
-    true = np.asarray(theta_true, dtype=float)
+    est = _checked_matrix(theta_hat, "estimated item parameters")
+    true = _checked_matrix(theta_true, "true item parameters")
     if est.shape != true.shape:
         raise DimensionError(f"shape mismatch: estimate {est.shape} vs truth {true.shape}")
     denom = np.linalg.norm(true)
     if denom == 0.0:
-        raise ValueError("true item parameter matrix has zero norm")
+        raise DataFormatError("true item parameter matrix has zero norm")
     cost = ((est[:, :, None] - true[:, None, :]) ** 2).sum(axis=0)
-    rows, cols = linear_sum_assignment(cost)
-    return float(np.sqrt(cost[rows, cols].sum()) / denom)
+    return float(np.sqrt(_matched_cost(cost)) / denom)
 
 
 def accuracy_rate(k_hats, k_true: int) -> float:

@@ -276,6 +276,12 @@ def test_exit_code_config_error(tmp_path):
     zero_items = tmp_path / "zero_items.csv"
     write_dense_csv(zero_items, np.zeros((10, 2)))
     base = {"n": 20, "j": 10, "k": 2, "distribution": {"name": "bernoulli"}, "rho": 0.5}
+    bad_distributions = (
+        {"name": "normal", "sigma2": "abc"},
+        {"name": "normal", "sigma2": None},
+        {"name": "discrete", "support": 5},
+        {"name": "discrete", "support": [0, 1, 2], "scheme": [1]},
+    )
     for extra in (
         {"sparsity": 1.5},
         {"item_params_file": str(zero_items)},
@@ -283,6 +289,7 @@ def test_exit_code_config_error(tmp_path):
         {"k": 0},
         {"j": -1},
         {"mean_range": "ab"},
+        *({"distribution": dist} for dist in bad_distributions),
     ):
         path = tmp_path / "extra.json"
         path.write_text(json.dumps({**base, **extra}))
@@ -292,7 +299,17 @@ def test_exit_code_config_error(tmp_path):
         "family": "rho", "values": [1.0], "n": 40, "replicates": 1,
         "distribution": {"name": "bernoulli"},
     }
-    for extra in ({"values": ["abc"]}, {"mean_range": 5}, {"mean_range": "ab"}):
+    for extra in (
+        {"values": ["abc"]},
+        {"mean_range": 5},
+        {"mean_range": "ab"},
+        {"methods": 5},
+        {"methods": "scgoma"},
+        {"methods": []},
+        {"values": 5},
+        {"values": []},
+        *({"distribution": dist} for dist in bad_distributions),
+    ):
         experiment.write_text(json.dumps({**sweep, **extra}))
         assert main(["experiment", str(experiment), "--out", str(tmp_path / "o")]) == 2
 

@@ -1,0 +1,42 @@
+"""Start-up cost: importing wgom must not load scipy.
+
+scipy is needed only by the error metrics, which import it on first use.
+The check runs in a fresh interpreter, because the test process has
+usually imported scipy already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+CHILD = """
+import dataclasses, json, sys
+import wgom, wgom.cli
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+from wgom import Bernoulli, run_experiment
+kwargs = dict(n=60, k=2, k_max=4, replicates=2, seed=7)
+runs = {
+    threads: [
+        {key: value for key, value in dataclasses.asdict(row).items()
+         if key != "mean_runtime_seconds"}
+        for row in run_experiment("rho", [0.5, 1.0], Bernoulli(), threads=threads, **kwargs)
+    ]
+    for threads in (2, 1)
+}
+print(json.dumps({"loaded": loaded, "threaded": runs[2], "serial": runs[1]}))
+"""
+
+
+def test_import_loads_no_scipy_and_first_metric_call_is_thread_safe():
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", CHILD], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["loaded"] == []
+    assert [row["error"] for row in out["threaded"]] == [None, None]
+    assert out["threaded"] == out["serial"]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wgom import (
+    DataFormatError,
     DimensionError,
     accuracy_rate,
     data_sparsity,
@@ -127,5 +128,21 @@ def test_dimension_errors():
         hamming_error(np.ones((3, 2)) / 2, np.ones((4, 2)) / 2)
     with pytest.raises(DimensionError):
         relative_error(np.ones((3, 2)), np.ones((3, 3)))
-    with pytest.raises(ValueError):
+    with pytest.raises(DataFormatError):
         relative_error(np.ones((3, 2)), np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("metric", [hamming_error, relative_error])
+def test_error_metrics_pass_the_input_gate(metric):
+    good = np.full((3, 2), 0.5)
+    for bad in (np.nan, np.inf, -np.inf):
+        broken = good.copy()
+        broken[1, 0] = bad
+        with pytest.raises(DataFormatError):
+            metric(broken, good)
+        with pytest.raises(DataFormatError):
+            metric(good, broken)
+    with pytest.raises(DimensionError):
+        metric(np.ones(3), np.ones(3))
+    with pytest.raises(DimensionError):
+        metric(good, np.ones(2))
