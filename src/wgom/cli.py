@@ -106,11 +106,13 @@ def _spec_from_config(config: dict) -> tuple[ModelSpec, int]:
             raise ConfigError(f"generate config is missing {key!r}")
     distribution = distribution_from_config(config["distribution"])
     seed = _config_value(config, "seed", int, 0)
-    rng = np.random.default_rng(seed)
-
     n, j, k = (_config_value(config, key, int) for key in ("n", "j", "k"))
-    if min(n, j, k) < 1:
-        raise ConfigError(f"n, j and k must be positive, got {n}, {j}, {k}")
+    if min(n, j, k) < 1 or seed < 0:
+        raise ConfigError(f"n, j and k must be positive and seed >= 0, got {n}, {j}, {k}, {seed}")
+    for key in ("membership_file", "item_params_file"):
+        if not isinstance(config.get(key, ""), str):
+            raise ConfigError(f"config key {key!r} must be a file path, got {config[key]!r}")
+    rng = np.random.default_rng(seed)
     mixed = config.get("mixed_membership", "uniform")
     if isinstance(mixed, list):
         mixed = tuple(mixed)
@@ -156,13 +158,15 @@ def cmd_generate(args) -> int:
     config = _load_config(args.config)
     if args.seed is not None:
         config["seed"] = args.seed
-    spec, seed = _spec_from_config(config)
-
-    violations = validate_model_spec(spec, pure_tol=PURE_TOL_LOADED)
-    if violations:
-        raise ConfigError("invalid model spec: " + "; ".join(violations))
-
-    responses, diagnostics = sample_response(spec, seed)
+    try:
+        spec, seed = _spec_from_config(config)
+        violations = validate_model_spec(spec, pure_tol=PURE_TOL_LOADED)
+        if violations:
+            raise ConfigError("invalid model spec: " + "; ".join(violations))
+        responses, diagnostics = sample_response(spec, seed)
+    except MemoryError as exc:
+        shape = f"{int(config['n'])} x {int(config['j'])}"
+        raise ConfigError(f"cannot allocate the {shape} (N x J) model the config declares") from exc
     out = _out_dir(args)
     matrix_io.write_dense_csv(out / "responses.csv", responses.values)
     matrix_io.write_dense_csv(out / "membership.csv", spec.membership.rows)

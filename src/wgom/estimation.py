@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DegenerateRankError, RankDeficiencyError
+from .errors import DegenerateRankError, DimensionError, RankDeficiencyError
 from .linalg import TruncatedSVD, _decompose, _leading, solve_small_inverse, top_k_svd
 from .types import EstimationResult, MembershipMatrix, response_array
 from .vertex_hunting import VertexIndexSet, _projection_prefix, successive_projection
@@ -181,8 +181,12 @@ def sweep_fitter(responses, estimator, k_max: int, *, seed: int = 0):
     first k picks of one k_max-pick vertex search, which are exactly the picks
     of a k-pick search, since the search is greedy; if that search stops
     after t picks, every k > t raises ``RankDeficiencyError``.
+
+    Raises ``DimensionError`` if k_max lies outside [1, min(N, J)].
     """
     r = response_array(responses)
+    if not 1 <= k_max <= min(r.shape):
+        raise DimensionError(f"k={k_max} outside [1, min(N, J)] = [1, {min(r.shape)}]")
     if callable(estimator):
         return partial(estimator, r)
     if estimator == "scgoma":

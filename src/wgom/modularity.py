@@ -109,8 +109,6 @@ def select_k(
     from . import estimation
 
     r = response_array(responses)
-    if not 1 <= k_max <= min(r.shape):
-        raise DimensionError(f"k_max={k_max} outside [1, min(N, J)] = [1, {min(r.shape)}]")
     fit = estimation.sweep_fitter(r, estimator, k_max, seed=seed)
 
     fitted = {}

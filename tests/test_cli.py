@@ -289,6 +289,10 @@ def test_exit_code_config_error(tmp_path):
         {"k": 0},
         {"j": -1},
         {"mean_range": "ab"},
+        {"seed": -1},
+        {"mixed_membership": "zzz"},
+        {"membership_file": 5},
+        {"n": 1e12},  # the model cannot be allocated
         *({"distribution": dist} for dist in bad_distributions),
     ):
         path = tmp_path / "extra.json"
@@ -308,6 +312,11 @@ def test_exit_code_config_error(tmp_path):
         {"methods": []},
         {"values": 5},
         {"values": []},
+        {"replicates": 0},
+        {"seed": -1},
+        {"n": -5},
+        {"k": 0},
+        {"k_max": 0},
         *({"distribution": dist} for dist in bad_distributions),
     ):
         experiment.write_text(json.dumps({**sweep, **extra}))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,23 @@ from wgom import (
     ItemParams,
     block_memberships,
     distribution_from_config,
+    estimation,
+    experiments,
+    hamming_error,
+    linalg,
     random_item_params,
+    relative_error,
+    rmsp,
     run_experiment,
+    sample_response,
+    scgoma,
+    select_k,
     simulation_spec,
     validate_model_spec,
+    vertex_hunting,
 )
 from wgom.experiments import class_count_sweep_spec, normalize_family, replicate_rng
+from wgom.metrics import accuracy_rate
 
 
 def test_block_memberships_structure():
@@ -169,3 +182,88 @@ def test_validate_reports_degenerate_discrete_scheme():
     )
     violations = validate_model_spec(spec)
     assert any("cannot realize" in v for v in violations)
+
+
+def _counting(monkeypatch, name, modules, calls):
+    """Wrap ``name`` in each module, recording the row matrix of every call."""
+    for module in modules:
+        original = getattr(module, name)
+
+        def wrapper(x, *args, _original=original, **kwargs):
+            calls.append(np.asarray(x))
+            return _original(x, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+
+@pytest.mark.parametrize("method", ["scgoma", "rmsp"])
+def test_run_experiment_decomposes_each_replicate_once(monkeypatch, method):
+    drawn, decompositions = [], []
+    sample = experiments.sample_response
+
+    def recording_sample(spec, rng):
+        responses, diagnostics = sample(spec, rng)
+        drawn.append(responses.values)
+        return responses, diagnostics
+
+    monkeypatch.setattr(experiments, "sample_response", recording_sample)
+    _counting(monkeypatch, "_decompose", (linalg, estimation), decompositions)
+    _counting(monkeypatch, "_projection_prefix", (vertex_hunting, estimation), decompositions)
+    rows = run_experiment(
+        "rho", [1.0], Binomial(m=4), method=method, replicates=3, seed=2, n=60, k=3, k_max=5
+    )
+    assert rows[0].error is None and len(drawn) == 3
+    # Only decompositions of R itself count: scgoma also searches the rows of U_k.
+    for r in drawn:
+        assert sum(x.shape == r.shape and np.array_equal(x, r) for x in decompositions) == 1
+
+
+@pytest.mark.parametrize("method", ["scgoma", "rmsp"])
+@pytest.mark.parametrize("k_max", [5, 2])
+def test_run_experiment_rows_equal_separate_fits(method, k_max):
+    distribution, n, k, seed = Binomial(m=4), 60, 3, 5
+    rows = run_experiment(
+        "rho", [1.0, 2.0], distribution, method=method, replicates=3, seed=seed, n=n, k=k,
+        k_max=k_max,
+    )
+    for row in rows:
+        hams, rels, k_hats = [], [], []
+        for rep in range(3):
+            rng = replicate_rng(seed, rep)
+            spec = simulation_spec(
+                distribution, n=n, k=k, rho=row.value, sparsity=1.0, mean_range=None, rng=rng
+            )
+            responses, _ = sample_response(spec, rng)
+            result = (scgoma if method == "scgoma" else rmsp)(responses, k)
+            hams.append(hamming_error(result.membership_hat, spec.membership))
+            rels.append(relative_error(result.item_params_hat, spec.item_params.values))
+            k_hats.append(select_k(responses, method, k_max=k_max)[0])
+        expected = replace(
+            row,
+            mean_hamming_error=float(np.mean(hams)),
+            mean_relative_error=float(np.mean(rels)),
+            accuracy_rate=accuracy_rate(k_hats, k),
+        )
+        assert row == expected and row.error is None
+
+
+@pytest.mark.parametrize("method", ["scgoma", "rmsp"])
+def test_run_experiment_true_k_above_min_side_is_an_error_row(method):
+    # n = 4 gives J = 2 items, fewer than the k = 3 classes.
+    rows = run_experiment("rho", [1.0], Bernoulli(), method=method, replicates=1, seed=0, n=4, k=3)
+    assert rows[0].error is not None and rows[0].error.startswith("DimensionError")
+    assert np.isnan(rows[0].mean_hamming_error)
+
+
+def test_run_experiment_checks_the_whole_grid_before_any_replicate(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(experiments, "sample_response", lambda *args: drawn.append(args))
+    for kwargs in (
+        {"family": "n", "values": [40, -5]},
+        {"family": "k", "values": [2, 0]},
+        {"seed": -1}, {"replicates": 0}, {"k_max": 0}, {"n": 0}, {"k": 0},
+    ):
+        kwargs = {"family": "rho", "values": [1.0], **kwargs}
+        with pytest.raises(ConfigError):
+            run_experiment(distribution=Bernoulli(), **kwargs)
+    assert drawn == []
