@@ -15,25 +15,29 @@ from .errors import (
     WgomError,
 )
 from .types import (
-    Bernoulli,
-    Binomial,
     EstimationResult,
-    Exponential,
-    GeneralDiscrete,
     ItemParams,
     MembershipMatrix,
     ModelSpec,
-    Normal,
-    Poisson,
     ResponseMatrix,
     SampleDiagnostics,
-    SignedBinary,
-    Uniform,
     validate_model_spec,
 )
 from .linalg import TruncatedSVD, solve_small_inverse, top_k_svd
 from .vertex_hunting import VertexIndexSet, successive_projection
-from .sampling import construct_discrete, expected_responses, sample_response
+from .sampling import (
+    Bernoulli,
+    Binomial,
+    Exponential,
+    GeneralDiscrete,
+    Normal,
+    Poisson,
+    SignedBinary,
+    Uniform,
+    construct_discrete,
+    expected_responses,
+    sample_response,
+)
 from .estimation import ideal_rmsp, ideal_scgoma, rmsp, scgoma
 from .modularity import fuzzy_weighted_modularity, select_k
 from .metrics import (

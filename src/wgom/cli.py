@@ -38,6 +38,7 @@ from .experiments import (
     distribution_from_config,
     normalize_family,
     run_experiment,
+    unallocatable,
 )
 from .metrics import data_sparsity, profile_memberships
 from .modularity import select_k
@@ -79,7 +80,7 @@ def _config_value(config: dict, key: str, kind, default=None):
     value = config.get(key, default)
     try:
         return kind(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config key {key!r} must be {kind.__name__}, got {value!r}") from exc
 
 
@@ -165,8 +166,7 @@ def cmd_generate(args) -> int:
             raise ConfigError("invalid model spec: " + "; ".join(violations))
         responses, diagnostics = sample_response(spec, seed)
     except MemoryError as exc:
-        shape = f"{int(config['n'])} x {int(config['j'])}"
-        raise ConfigError(f"cannot allocate the {shape} (N x J) model the config declares") from exc
+        raise unallocatable(int(config["n"]), int(config["j"])) from exc
     out = _out_dir(args)
     matrix_io.write_dense_csv(out / "responses.csv", responses.values)
     matrix_io.write_dense_csv(out / "membership.csv", spec.membership.rows)

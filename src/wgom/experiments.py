@@ -21,23 +21,11 @@ from typing import Optional
 import numpy as np
 
 from . import estimation
-from .errors import ConfigError, WgomError
+from .errors import ConfigError, InfeasibleSchemeError, WgomError
 from .metrics import accuracy_rate, hamming_error, relative_error
 from .modularity import select_k
-from .sampling import discrete_mean_interval, sample_response
-from .types import (
-    Bernoulli,
-    Binomial,
-    Exponential,
-    GeneralDiscrete,
-    ItemParams,
-    MembershipMatrix,
-    ModelSpec,
-    Normal,
-    Poisson,
-    SignedBinary,
-    Uniform,
-)
+from .sampling import DISTRIBUTIONS, GeneralDiscrete, sample_response
+from .types import ItemParams, MembershipMatrix, ModelSpec
 
 EXPERIMENT_FAMILIES = ("rho", "n", "k", "p")
 
@@ -86,6 +74,11 @@ def block_memberships(n: int, k: int, n_pure_per_class: int, mixed="uniform", rn
     return MembershipMatrix(rows)
 
 
+def unallocatable(n: int, j: int) -> ConfigError:
+    """The config error for a model whose N x J arrays cannot be allocated."""
+    return ConfigError(f"cannot allocate the {n} x {j} (N x J) model the config declares")
+
+
 def _mean_range_pair(mean_range) -> Optional[tuple]:
     """``mean_range`` as a float pair (lo, hi) with lo < hi, or None; else ``ConfigError``."""
     if mean_range is None:
@@ -128,15 +121,12 @@ def random_item_params(
 
 def default_item_params(distribution, n_items: int, k: int, rho: float, rng, mean_range=None) -> ItemParams:
     """Item parameters under the default policy: finite-support distributions
-    without a ``mean_range`` fill their admissible mean interval, Normal and
-    signed responses draw from U(-1, 1)."""
+    without a ``mean_range`` fill their admissible mean interval, and
+    distributions that admit negative means draw from U(-1, 1)."""
     if mean_range is None and isinstance(distribution, GeneralDiscrete):
-        mean_range = discrete_mean_interval(distribution.support, distribution.scheme)
-    return random_item_params(
-        n_items, k, rho, rng,
-        signed=isinstance(distribution, (Normal, SignedBinary)),
-        mean_range=mean_range,
-    )
+        mean_range = distribution.mean_interval()[:2]
+    signed = mean_range is None and distribution.mean_interval()[0] < 0
+    return random_item_params(n_items, k, rho, rng, signed=signed, mean_range=mean_range)
 
 
 def simulation_spec(
@@ -183,33 +173,18 @@ def class_count_sweep_spec(distribution, k: int, rho: float, rng, *, sparsity: f
 
 
 def distribution_from_config(config: dict):
-    """Build a distribution from its JSON configuration."""
+    """Build a distribution from its JSON configuration: ``name`` picks the
+    catalog class and every other key is one of its fields."""
     if not isinstance(config, dict) or "name" not in config:
         raise ConfigError(f"distribution config needs a 'name' key, got {config!r}")
-    name = config["name"]
+    fields = dict(config)
+    name = fields.pop("name")
+    if not isinstance(name, str) or name not in DISTRIBUTIONS:
+        raise ConfigError(f"unknown distribution name {name!r}; pick one of {tuple(DISTRIBUTIONS)}")
     try:
-        if name == "bernoulli":
-            return Bernoulli()
-        if name == "binomial":
-            return Binomial(m=config["m"])
-        if name == "uniform":
-            return Uniform()
-        if name == "normal":
-            return Normal(sigma2=config.get("sigma2", 1.0))
-        if name == "signed":
-            return SignedBinary()
-        if name == "poisson":
-            return Poisson()
-        if name == "exponential":
-            return Exponential()
-        if name == "discrete":
-            return GeneralDiscrete(
-                support=tuple(config["support"]),
-                scheme=config.get("scheme", 0),
-            )
-    except (KeyError, TypeError, ValueError) as exc:
+        return DISTRIBUTIONS[name](**fields)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad distribution config {config!r}: {exc}") from exc
-    raise ConfigError(f"unknown distribution name {name!r}")
 
 
 @dataclass(frozen=True)
@@ -244,7 +219,7 @@ def _point_params(family: str, value, base: dict) -> dict:
     }[family]
     try:
         params[key] = kind(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(
             f"experiment value {value!r} for family {family!r} must be {kind.__name__}"
         ) from exc
@@ -284,8 +259,14 @@ def run_experiment(
 
     ``seed`` >= 0, ``replicates`` >= 1, ``k_max`` >= 1 and each grid point's
     n >= 1 and k >= 1 are checked (``ConfigError``) before any replicate runs.
-    A failure inside any replicate aborts that grid point and records an
-    error row (metrics NaN); remaining grid points still run.
+    A config fault found inside a replicate (a ``ConfigError`` such as a
+    sparsity outside (0, 1], a negative rho, too many pure subjects for n or
+    a model too large to allocate, or the ``InfeasibleSchemeError`` of a
+    discrete scheme that admits no mean) is raised and ends the sweep.  Only
+    data-dependent failures (``DistributionRangeError``, ``DimensionError``,
+    ``RankDeficiencyError`` or any other ``WgomError``) abort just that grid
+    point and record an error row (metrics NaN); remaining grid points still
+    run.
     """
     family = normalize_family(family)
     if method not in ("scgoma", "rmsp"):
@@ -335,6 +316,11 @@ def run_experiment(
                     outcomes = list(pool.map(one_replicate, range(replicates)))
             else:
                 outcomes = [one_replicate(rep) for rep in range(replicates)]
+        except (ConfigError, InfeasibleSchemeError):
+            raise
+        except MemoryError as exc:
+            n = 100 * params["k"] if family == "k" else params["n"]
+            raise unallocatable(n, n // 2) from exc
         except WgomError as exc:
             rows.append(
                 GridRow(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import estimation
 from .errors import DegenerateRankError, DimensionError, RankDeficiencyError, WgomError
 from .types import membership_array, response_array
 
@@ -106,8 +107,6 @@ def select_k(
     about 1e-7 of the single-k fits, and moves noise-level values by up to
     about 0.04.
     """
-    from . import estimation
-
     r = response_array(responses)
     fit = estimation.sweep_fitter(r, estimator, k_max, seed=seed)
 

@@ -1,32 +1,244 @@
-"""Response-matrix generation and finite-support distribution construction.
+"""The distribution catalog, response sampling and finite-support construction.
+
+A distribution is the model's one pluggable part: any family whose draws
+have expectation R0 = Pi @ Theta.T will do.  Each catalog class owns its
+``draw``, its admissible mean interval (the data behind ``admissible`` and
+``range_description``) and its config keys, which are its dataclass fields.
 
 Sampling follows the generative recipe: compute the expected matrix
-R0 = Pi @ Theta.T, draw every entry independently from the tagged distribution
-with that mean, then multiply by an independent Bernoulli(p) retention mask to
+R0 = Pi @ Theta.T, draw every entry independently from the distribution with
+that mean, then multiply by an independent Bernoulli(p) retention mask to
 create missing responses.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import ClassVar, Union
+
 import numpy as np
 
 from .errors import DistributionRangeError, InfeasibleSchemeError
-from .types import (
-    Bernoulli,
-    Binomial,
-    Exponential,
-    GeneralDiscrete,
-    ModelSpec,
-    Normal,
-    Poisson,
-    ResponseMatrix,
-    SampleDiagnostics,
-    SignedBinary,
-    Uniform,
-    check_support,
-)
+from .types import ModelSpec, ResponseMatrix, SampleDiagnostics
 
 PROB_TOL = 1e-12
+# Slack on closed admissible-range endpoints so float dust in Pi @ Theta.T
+# does not trip spurious range errors.
+RANGE_TOL = 1e-12
+
+
+def check_support(support) -> tuple:
+    """A finite support as a tuple of at least 2 finite, strictly increasing floats."""
+    support = tuple(float(a) for a in support)
+    if len(support) < 2:
+        raise ValueError("discrete support needs at least 2 points")
+    if not np.isfinite(support).all():
+        raise ValueError(f"discrete support points must be finite, got {support}")
+    if any(b <= a for a, b in zip(support, support[1:])):
+        raise ValueError("discrete support must be strictly increasing")
+    return support
+
+
+# ---------------------------------------------------------------------------
+# Distribution catalog
+# ---------------------------------------------------------------------------
+
+
+def _bound(x) -> str:
+    """An interval end as text: integers (a trial count) in full, floats by %g."""
+    return str(x) if isinstance(x, int) else f"{x:g}"
+
+
+class Distribution:
+    """A response family, drawn entrywise around the expected matrix.
+
+    Subclasses are frozen dataclasses: ``name`` is the config name, the
+    fields are the config keys, and ``interval`` = (lo, hi, lower_open) holds
+    the means the family can realize (``mean_interval`` computes it where it
+    depends on the fields).  Closed finite ends admit ``RANGE_TOL`` of slack;
+    an infinite end is open.
+    """
+
+    name: ClassVar[str]
+    interval: ClassVar[tuple]
+
+    def mean_interval(self) -> tuple:
+        """The admissible means as (lo, hi, lower_open)."""
+        return self.interval
+
+    def admissible(self, means) -> np.ndarray:
+        """Boolean mask of the entries of ``means`` this distribution can realize."""
+        lo, hi, lower_open = self.mean_interval()
+        means = np.asarray(means, dtype=float)
+        above = means > lo if lower_open else means >= lo - RANGE_TOL
+        return above & (means <= hi + RANGE_TOL)
+
+    def range_description(self) -> str:
+        """The admissible interval as text, such as "[0, 1]" or "(0, inf)"."""
+        lo, hi, lower_open = self.mean_interval()
+        left = "(" if lower_open or lo == -np.inf else "["
+        right = ")" if hi == np.inf else "]"
+        return f"{left}{_bound(lo)}, {_bound(hi)}{right}"
+
+    def draw(self, means: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One independent draw per entry of ``means``."""
+        raise NotImplementedError
+
+
+@dataclass(frozen=True)
+class Bernoulli(Distribution):
+    """Entries in {0, 1} with success probability equal to the mean."""
+
+    name = "bernoulli"
+    interval = (0.0, 1.0, False)
+
+    def draw(self, means, rng):
+        p = np.clip(means, 0.0, 1.0)
+        return (rng.random(means.shape) < p).astype(float)
+
+
+@dataclass(frozen=True)
+class Binomial(Distribution):
+    """Entries in {0..m}, m trials with success probability mean/m."""
+
+    m: int
+    name = "binomial"
+
+    def __post_init__(self):
+        if int(self.m) != self.m or not 1 <= self.m <= np.iinfo(np.int64).max:
+            raise ValueError(f"binomial trial count must be a positive int64, got {self.m}")
+        object.__setattr__(self, "m", int(self.m))
+
+    def mean_interval(self):
+        return (0.0, self.m, False)
+
+    def draw(self, means, rng):
+        p = np.clip(means / self.m, 0.0, 1.0)
+        return rng.binomial(self.m, p).astype(float)
+
+
+@dataclass(frozen=True)
+class Uniform(Distribution):
+    """Continuous entries drawn uniformly on (0, 2*mean).
+
+    A mean of exactly 0 is admitted and draws exactly 0 (the continuous limit
+    of Uniform(0, 0)), so boundary expectations do not trip a range error.
+    """
+
+    name = "uniform"
+    interval = (0.0, np.inf, False)
+
+    def draw(self, means, rng):
+        return 2.0 * np.maximum(means, 0.0) * rng.random(means.shape)
+
+
+@dataclass(frozen=True)
+class Normal(Distribution):
+    """Gaussian entries with fixed variance around the mean."""
+
+    sigma2: float = 1.0
+    name = "normal"
+    interval = (-np.inf, np.inf, False)
+
+    def __post_init__(self):
+        if not 0 < self.sigma2 < np.inf:
+            raise ValueError(f"normal variance must be positive and finite, got {self.sigma2}")
+        object.__setattr__(self, "sigma2", float(self.sigma2))
+
+    def draw(self, means, rng):
+        return rng.normal(means, np.sqrt(self.sigma2))
+
+
+@dataclass(frozen=True)
+class SignedBinary(Distribution):
+    """Entries in {-1, +1} with P(+1) = (1 + mean) / 2."""
+
+    name = "signed"
+    interval = (-1.0, 1.0, False)
+
+    def draw(self, means, rng):
+        p_plus = np.clip((1.0 + means) / 2.0, 0.0, 1.0)
+        return np.where(rng.random(means.shape) < p_plus, 1.0, -1.0)
+
+
+@dataclass(frozen=True)
+class Poisson(Distribution):
+    """Nonnegative integer counts with rate equal to the mean."""
+
+    name = "poisson"
+    interval = (0.0, np.inf, True)
+
+    def draw(self, means, rng):
+        return rng.poisson(means).astype(float)
+
+
+@dataclass(frozen=True)
+class Exponential(Distribution):
+    """Positive continuous entries with rate 1/mean."""
+
+    name = "exponential"
+    interval = (0.0, np.inf, True)
+
+    def draw(self, means, rng):
+        return rng.exponential(scale=means)
+
+
+@dataclass(frozen=True)
+class GeneralDiscrete(Distribution):
+    """Entries on a finite sorted support, probabilities chosen to hit the mean.
+
+    ``scheme`` selects one closure of the underdetermined moment system
+    (see ``construct_discrete``):
+
+    * an integer q (0-based): the probability at support[q] is free and all
+      other probabilities are equal (the scheme-q member of the canonical
+      solution family);
+    * ``"binary"``: the unique two-point solution (Q == 2 only);
+    * ``"mean-locked"``: P(support[0]) is pinned to the mean itself
+      (Q == 3 only).
+    """
+
+    support: tuple
+    scheme: Union[int, str] = 0
+    name = "discrete"
+
+    def __post_init__(self):
+        support = check_support(self.support)
+        object.__setattr__(self, "support", support)
+        scheme = self.scheme
+        if isinstance(scheme, str):
+            if scheme == "binary":
+                if len(support) != 2:
+                    raise ValueError('scheme "binary" requires exactly 2 support points')
+            elif scheme == "mean-locked":
+                if len(support) != 3:
+                    raise ValueError('scheme "mean-locked" requires exactly 3 support points')
+            else:
+                raise ValueError(f"unknown discrete scheme {scheme!r}")
+        else:
+            scheme = int(scheme)
+            if not 0 <= scheme < len(support):
+                raise ValueError(f"scheme index {scheme} outside [0, {len(support) - 1}]")
+        object.__setattr__(self, "scheme", scheme)
+
+    def mean_interval(self):
+        return (*discrete_mean_interval(self.support, self.scheme), False)
+
+    def draw(self, means, rng):
+        support = np.asarray(self.support)
+        probs = _discrete_table(self.support, self.scheme, means)
+        cum = np.cumsum(probs, axis=-1)
+        u = rng.random(means.shape)
+        idx = np.minimum((u[..., None] > cum).sum(axis=-1), len(support) - 1)
+        return support[idx]
+
+
+DISTRIBUTIONS = {
+    cls.name: cls
+    for cls in (
+        Bernoulli, Binomial, Uniform, Normal, SignedBinary, Poisson, Exponential, GeneralDiscrete
+    )
+}
 
 
 def expected_responses(spec: ModelSpec) -> np.ndarray:
@@ -59,7 +271,7 @@ def sample_response(spec: ModelSpec, seed) -> tuple[ResponseMatrix, SampleDiagno
             f"{spec.distribution.name}"
         )
 
-    draws = _draw(spec.distribution, r0, rng)
+    draws = spec.distribution.draw(r0, rng)
 
     deviations = np.abs(draws - r0)
     tau_hat = float(deviations.max())
@@ -70,36 +282,6 @@ def sample_response(spec: ModelSpec, seed) -> tuple[ResponseMatrix, SampleDiagno
         draws = draws * mask
 
     return ResponseMatrix(draws), SampleDiagnostics(tau_hat=tau_hat, gamma_hat=gamma_hat)
-
-
-def _draw(dist, means: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    shape = means.shape
-    if isinstance(dist, Bernoulli):
-        p = np.clip(means, 0.0, 1.0)
-        return (rng.random(shape) < p).astype(float)
-    if isinstance(dist, Binomial):
-        p = np.clip(means / dist.m, 0.0, 1.0)
-        return rng.binomial(dist.m, p).astype(float)
-    if isinstance(dist, Uniform):
-        # 2 * mean * U(0,1): a zero mean draws exactly zero.
-        return 2.0 * np.maximum(means, 0.0) * rng.random(shape)
-    if isinstance(dist, Normal):
-        return rng.normal(means, np.sqrt(dist.sigma2))
-    if isinstance(dist, SignedBinary):
-        p_plus = np.clip((1.0 + means) / 2.0, 0.0, 1.0)
-        return np.where(rng.random(shape) < p_plus, 1.0, -1.0)
-    if isinstance(dist, Poisson):
-        return rng.poisson(means).astype(float)
-    if isinstance(dist, Exponential):
-        return rng.exponential(scale=means)
-    if isinstance(dist, GeneralDiscrete):
-        support = np.asarray(dist.support)
-        probs = _discrete_table(dist.support, dist.scheme, means)
-        cum = np.cumsum(probs, axis=-1)
-        u = rng.random(shape)
-        idx = np.minimum((u[..., None] > cum).sum(axis=-1), len(support) - 1)
-        return support[idx]
-    raise TypeError(f"unsupported distribution {dist!r}")
 
 
 # ---------------------------------------------------------------------------

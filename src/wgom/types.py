@@ -3,27 +3,29 @@
 The generative model: an N x J response matrix R has independent entries whose
 expectation is R0 = Pi @ Theta.T, where Pi is a row-stochastic membership
 matrix with at least one pure subject per latent class and Theta is a rank-K
-item-parameter matrix.  A tagged distribution family describes how responses
-are drawn around their expectations; a retention probability ``sparsity``
-zeroes entries at random to model missing responses.
+item-parameter matrix.  A distribution from the catalog in
+``wgom.sampling`` describes how responses are drawn around their
+expectations; a retention probability ``sparsity`` zeroes entries at random
+to model missing responses.  This module imports no distribution: a spec
+uses only its ``admissible``, ``range_description`` and ``name``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, DimensionError, WgomError
 
+if TYPE_CHECKING:
+    from .sampling import Distribution
+
 ROW_SUM_TOL = 1e-9
 RANK_RTOL = 1e-10
 PURE_TOL_SAMPLED = 1e-12
 PURE_TOL_LOADED = 1e-6
-# Slack on closed admissible-range endpoints so float dust in Pi @ Theta.T
-# does not trip spurious range errors.
-RANGE_TOL = 1e-12
 
 
 def _checked_matrix(values, name: str) -> np.ndarray:
@@ -45,16 +47,6 @@ def _frozen_copy(values, name: str) -> np.ndarray:
     arr = _checked_matrix(np.array(values, dtype=float), name)
     arr.setflags(write=False)
     return arr
-
-
-def check_support(support) -> tuple:
-    """A finite support as a tuple of at least 2 strictly increasing floats."""
-    support = tuple(float(a) for a in support)
-    if len(support) < 2:
-        raise ValueError("discrete support needs at least 2 points")
-    if any(b <= a for a, b in zip(support, support[1:])):
-        raise ValueError("discrete support must be strictly increasing")
-    return support
 
 
 @dataclass(frozen=True)
@@ -125,187 +117,6 @@ class ItemParams:
     @property
     def n_classes(self) -> int:
         return self.values.shape[1]
-
-
-# ---------------------------------------------------------------------------
-# Distribution catalog
-# ---------------------------------------------------------------------------
-#
-# Each variant is passive data plus its admissible mean range; drawing logic
-# lives in wgom.sampling.  ``admissible(means)`` returns a boolean mask of
-# entries whose expectation the distribution can realize.
-
-
-@dataclass(frozen=True)
-class Bernoulli:
-    """Entries in {0, 1} with success probability equal to the mean."""
-
-    name = "bernoulli"
-
-    def admissible(self, means: np.ndarray) -> np.ndarray:
-        return (means >= -RANGE_TOL) & (means <= 1.0 + RANGE_TOL)
-
-    def range_description(self) -> str:
-        return "[0, 1]"
-
-
-@dataclass(frozen=True)
-class Binomial:
-    """Entries in {0..m}, m trials with success probability mean/m."""
-
-    m: int
-    name = "binomial"
-
-    def __post_init__(self):
-        if int(self.m) != self.m or self.m < 1:
-            raise ValueError(f"binomial trial count must be a positive integer, got {self.m}")
-        object.__setattr__(self, "m", int(self.m))
-
-    def admissible(self, means: np.ndarray) -> np.ndarray:
-        return (means >= -RANGE_TOL) & (means <= self.m + RANGE_TOL)
-
-    def range_description(self) -> str:
-        return f"[0, {self.m}]"
-
-
-@dataclass(frozen=True)
-class Uniform:
-    """Continuous entries drawn uniformly on (0, 2*mean).
-
-    A mean of exactly 0 is admitted and draws exactly 0 (the continuous limit
-    of Uniform(0, 0)), so boundary expectations do not trip a range error.
-    """
-
-    name = "uniform"
-
-    def admissible(self, means: np.ndarray) -> np.ndarray:
-        return means >= -RANGE_TOL
-
-    def range_description(self) -> str:
-        return "[0, inf)"
-
-
-@dataclass(frozen=True)
-class Normal:
-    """Gaussian entries with fixed variance around the mean."""
-
-    sigma2: float
-    name = "normal"
-
-    def __post_init__(self):
-        if not (self.sigma2 > 0):
-            raise ValueError(f"normal variance must be positive, got {self.sigma2}")
-        object.__setattr__(self, "sigma2", float(self.sigma2))
-
-    def admissible(self, means: np.ndarray) -> np.ndarray:
-        return np.ones(np.shape(means), dtype=bool)
-
-    def range_description(self) -> str:
-        return "(-inf, inf)"
-
-
-@dataclass(frozen=True)
-class SignedBinary:
-    """Entries in {-1, +1} with P(+1) = (1 + mean) / 2."""
-
-    name = "signed"
-
-    def admissible(self, means: np.ndarray) -> np.ndarray:
-        return (means >= -1.0 - RANGE_TOL) & (means <= 1.0 + RANGE_TOL)
-
-    def range_description(self) -> str:
-        return "[-1, 1]"
-
-
-@dataclass(frozen=True)
-class Poisson:
-    """Nonnegative integer counts with rate equal to the mean."""
-
-    name = "poisson"
-
-    def admissible(self, means: np.ndarray) -> np.ndarray:
-        return means > 0.0
-
-    def range_description(self) -> str:
-        return "(0, inf)"
-
-
-@dataclass(frozen=True)
-class Exponential:
-    """Positive continuous entries with rate 1/mean."""
-
-    name = "exponential"
-
-    def admissible(self, means: np.ndarray) -> np.ndarray:
-        return means > 0.0
-
-    def range_description(self) -> str:
-        return "(0, inf)"
-
-
-@dataclass(frozen=True)
-class GeneralDiscrete:
-    """Entries on a finite sorted support, probabilities chosen to hit the mean.
-
-    ``scheme`` selects one closure of the underdetermined moment system
-    (see ``wgom.sampling.construct_discrete``):
-
-    * an integer q (0-based): the probability at support[q] is free and all
-      other probabilities are equal (the scheme-q member of the canonical
-      solution family);
-    * ``"binary"``: the unique two-point solution (Q == 2 only);
-    * ``"mean-locked"``: P(support[0]) is pinned to the mean itself
-      (Q == 3 only).
-    """
-
-    support: tuple
-    scheme: Union[int, str] = 0
-    name = "discrete"
-
-    def __post_init__(self):
-        support = check_support(self.support)
-        object.__setattr__(self, "support", support)
-        scheme = self.scheme
-        if isinstance(scheme, str):
-            if scheme == "binary":
-                if len(support) != 2:
-                    raise ValueError('scheme "binary" requires exactly 2 support points')
-            elif scheme == "mean-locked":
-                if len(support) != 3:
-                    raise ValueError('scheme "mean-locked" requires exactly 3 support points')
-            else:
-                raise ValueError(f"unknown discrete scheme {scheme!r}")
-        else:
-            scheme = int(scheme)
-            if not 0 <= scheme < len(support):
-                raise ValueError(f"scheme index {scheme} outside [0, {len(support) - 1}]")
-        object.__setattr__(self, "scheme", scheme)
-
-    def admissible(self, means: np.ndarray) -> np.ndarray:
-        # Local import: the moment-system solver lives with the sampler.
-        from .sampling import discrete_mean_interval
-
-        lo, hi = discrete_mean_interval(self.support, self.scheme)
-        means = np.asarray(means, dtype=float)
-        return (means >= lo - RANGE_TOL) & (means <= hi + RANGE_TOL)
-
-    def range_description(self) -> str:
-        from .sampling import discrete_mean_interval
-
-        lo, hi = discrete_mean_interval(self.support, self.scheme)
-        return f"[{lo:g}, {hi:g}]"
-
-
-Distribution = Union[
-    Bernoulli,
-    Binomial,
-    Uniform,
-    Normal,
-    SignedBinary,
-    Poisson,
-    Exponential,
-    GeneralDiscrete,
-]
 
 
 @dataclass(frozen=True)

@@ -281,6 +281,12 @@ def test_exit_code_config_error(tmp_path):
         {"name": "normal", "sigma2": None},
         {"name": "discrete", "support": 5},
         {"name": "discrete", "support": [0, 1, 2], "scheme": [1]},
+        {"name": "binomial", "m": 1e999},  # JSON 1e999 parses to inf
+        {"name": "binomial", "m": 10**400},
+        {"name": "discrete", "support": [0, 1, 2], "scheme": 1e999},
+        {"name": "discrete", "support": [0, 1e999]},
+        {"name": "normal", "sigma2": 1e999},
+        {"name": "normal", "sigma": 4},  # an unknown key
     )
     for extra in (
         {"sparsity": 1.5},
@@ -293,6 +299,9 @@ def test_exit_code_config_error(tmp_path):
         {"mixed_membership": "zzz"},
         {"membership_file": 5},
         {"n": 1e12},  # the model cannot be allocated
+        {"n": 1e999},
+        {"seed": 1e999},
+        {"n_pure_per_class": 1e999},
         *({"distribution": dist} for dist in bad_distributions),
     ):
         path = tmp_path / "extra.json"
@@ -317,6 +326,15 @@ def test_exit_code_config_error(tmp_path):
         {"n": -5},
         {"k": 0},
         {"k_max": 0},
+        {"n": 1e999},
+        {"seed": 1e999},
+        {"family": "n", "values": [1e999]},
+        # Faults found inside a replicate end the run instead of a NaN row.
+        {"sparsity": 2},
+        {"family": "n", "values": [40], "rho": -1},
+        {"k": 5},  # 5 classes x n/4 pure subjects exceed n
+        {"n": 1e12},  # the model cannot be allocated
+        {"distribution": {"name": "discrete", "support": [0, 1, 2], "scheme": 1}},  # no mean
         *({"distribution": dist} for dist in bad_distributions),
     ):
         experiment.write_text(json.dumps({**sweep, **extra}))

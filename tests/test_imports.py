@@ -40,3 +40,36 @@ def test_import_loads_no_scipy_and_first_metric_call_is_thread_safe():
     assert out["loaded"] == []
     assert [row["error"] for row in out["threaded"]] == [None, None]
     assert out["threaded"] == out["serial"]
+
+
+# Imports one wgom module as the first, bypassing the package __init__ (which
+# imports every module in a fixed order and so hides import cycles), and
+# prints the wgom modules that loaded with it.
+FIRST_IMPORT = """
+import importlib, json, sys, types
+package = types.ModuleType("wgom")
+package.__path__ = [sys.argv[1]]
+sys.modules["wgom"] = package
+importlib.import_module("wgom." + sys.argv[2])
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("wgom."))))
+"""
+MODULES = sorted(path.stem for path in (SRC / "wgom").glob("*.py") if path.stem != "__init__")
+
+
+def _import_first(module: str) -> list:
+    proc = subprocess.run(
+        [sys.executable, "-c", FIRST_IMPORT, str(SRC / "wgom"), module],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_types_imports_no_distribution():
+    assert "wgom.sampling" not in _import_first("types")
+
+
+def test_every_module_can_be_imported_first():
+    for module in MODULES:
+        assert f"wgom.{module}" in _import_first(module)
