@@ -113,8 +113,8 @@ def random_item_params(
         lo, hi = mean_range
         values = lo + (hi - lo) * rng.random((n_items, k))
         return ItemParams(values)
-    if not rho > 0:
-        raise ConfigError(f"rho must be positive, got {rho}")
+    if not 0 < rho < np.inf:
+        raise ConfigError(f"rho must be positive and finite, got {rho}")
     b = rng.uniform(-1.0, 1.0, (n_items, k)) if signed else rng.random((n_items, k))
     return ItemParams(rho * b)
 

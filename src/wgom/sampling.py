@@ -216,6 +216,8 @@ class GeneralDiscrete(Distribution):
             else:
                 raise ValueError(f"unknown discrete scheme {scheme!r}")
         else:
+            if int(scheme) != scheme:
+                raise ValueError(f"scheme index must be a whole number, got {scheme}")
             scheme = int(scheme)
             if not 0 <= scheme < len(support):
                 raise ValueError(f"scheme index {scheme} outside [0, {len(support) - 1}]")

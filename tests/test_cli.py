@@ -287,6 +287,7 @@ def test_exit_code_config_error(tmp_path):
         {"name": "discrete", "support": [0, 1e999]},
         {"name": "normal", "sigma2": 1e999},
         {"name": "normal", "sigma": 4},  # an unknown key
+        {"name": "discrete", "support": [0, 1, 3], "scheme": 1.5},
     )
     for extra in (
         {"sparsity": 1.5},
@@ -302,6 +303,7 @@ def test_exit_code_config_error(tmp_path):
         {"n": 1e999},
         {"seed": 1e999},
         {"n_pure_per_class": 1e999},
+        {"distribution": {"name": "uniform"}, "rho": 1e999},
         *({"distribution": dist} for dist in bad_distributions),
     ):
         path = tmp_path / "extra.json"
@@ -329,6 +331,7 @@ def test_exit_code_config_error(tmp_path):
         {"n": 1e999},
         {"seed": 1e999},
         {"family": "n", "values": [1e999]},
+        {"values": [1e999], "distribution": {"name": "uniform"}},
         # Faults found inside a replicate end the run instead of a NaN row.
         {"sparsity": 2},
         {"family": "n", "values": [40], "rho": -1},

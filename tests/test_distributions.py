@@ -102,6 +102,7 @@ def test_normal_variance_defaults_to_one():
         {"name": "discrete", "support": [0, float("inf")]},
         {"name": "discrete", "support": [0, float("nan"), 2]},
         {"name": "discrete", "support": [0, 1, 2], "scheme": float("inf")},
+        {"name": "discrete", "support": [0, 1, 3], "scheme": 1.5},
     ],
 )
 def test_bad_distribution_configs_are_config_errors(config):

@@ -9,6 +9,7 @@ from wgom import (
     Normal,
     WgomError,
     fuzzy_weighted_modularity,
+    modularity,
     sample_response,
     scgoma,
     select_k,
@@ -66,6 +67,34 @@ def test_mixed_sign_scoring_holds_less_than_one_similarity_matrix():
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8
+
+
+@pytest.mark.parametrize("rows", [1, 7, 20, 50])
+def test_mixed_sign_blocks_match_oracle_at_every_block_size(monkeypatch, rows):
+    # One row gives 1 x 1 diagonal blocks; 7 leaves a ragged last block; at
+    # N rows or more one block holds the whole triangle and nothing mirrors.
+    rng = np.random.default_rng(10)
+    n = 20
+    r = rng.standard_normal((n, 6))
+    pis = [random_row_stochastic(rng, n, k) for k in (2, 3, 4)]
+    monkeypatch.setattr(modularity, "BLOCK_BYTES", 8 * n * rows)
+    for pi, q in zip(pis, modularity._scores(r, pis)):
+        assert abs(q - modularity_double_sum(r, pi)) <= 1e-12
+
+
+def test_mixed_sign_responses_with_no_negative_similarity():
+    # R has both signs but A = RR' >= 0, so m- = 0 and A- vanishes; here it
+    # is reached as A+ - A, whose rounding must not leave a spurious term.
+    rng = np.random.default_rng(11)
+    near_positive = rng.random((30, 5)) + 1.0
+    near_positive[:, 0] = 0.01 * rng.standard_normal(30)
+    for r in (np.array([[1.0, -0.1], [1.0, 0.1], [2.0, 0.05]]), near_positive):
+        assert (r < 0).any() and (r @ r.T >= 0).all()
+        for k in (2, 3):
+            pi = random_row_stochastic(rng, r.shape[0], k)
+            q = fuzzy_weighted_modularity(r, pi)
+            assert np.isfinite(q)
+            assert abs(q - modularity_double_sum(r, pi)) <= 1e-12
 
 
 def test_all_zero_responses_score_zero():
