@@ -104,7 +104,8 @@ def scgoma(responses, k: int, *, seed: int = 0) -> EstimationResult:
     C = U[I]; row normalization (rows that clamp to all-zero become uniform);
     item parameters regressed against the rank-k reconstruction.
 
-    ``seed`` feeds the randomized SVD path used for large matrices.
+    ``seed`` feeds the randomized SVD path, taken when min(N, J) > 50 for
+    k <= 15 (see ``linalg.top_k_svd``).
 
     Raises
     ------
@@ -174,13 +175,15 @@ def sweep_fitter(responses, estimator, k_max: int, *, seed: int = 0):
 
     The built-in estimators decompose R once per sweep.  ``"scgoma"`` fits k
     on the first k triplets of one top-k_max SVD seeded with ``seed``; the
-    spectrum check stays per k, on that prefix.  On the dense SVD path this
-    equals ``scgoma(R, k, seed=seed)`` exactly.  On the randomized path the
-    one sketch has k_max + 10 columns where a single fit at k uses k + 10, so
-    the fits agree only up to the sketch's accuracy.  ``"rmsp"`` gives k the
-    first k picks of one k_max-pick vertex search, which are exactly the picks
-    of a k-pick search, since the search is greedy; if that search stops
-    after t picks, every k > t raises ``RankDeficiencyError``.
+    spectrum check stays per k, on that prefix.  For k_max <= 15 this equals
+    ``scgoma(R, k, seed=seed)`` exactly, since every k <= 15 takes the same
+    SVD path and the same 25-column sketch.  For k_max > 15 the sweep
+    sketches k_max + 10 columns (or goes dense where a single fit would
+    sketch 25), so where a single fit is randomized the two agree only up to
+    the sketch's accuracy.  ``"rmsp"`` gives k the first k picks of one
+    k_max-pick vertex search, which are exactly the picks of a k-pick
+    search, since the search is greedy; if that search stops after t picks,
+    every k > t raises ``RankDeficiencyError``.
 
     Raises ``DimensionError`` if k_max lies outside [1, min(N, J)].
     """

@@ -253,20 +253,21 @@ def run_experiment(
     decomposition plus the true-k fit: one SVD and one fit for ``"scgoma"``,
     as in ``scgoma(R, k)``; for ``"rmsp"`` a vertex search to max(k, k_max')
     picks, longer than the k picks of ``rmsp(R, k)``.  The estimate equals
-    ``scgoma(R, k)`` / ``rmsp(R, k)`` exactly, except on the randomized SVD
-    path (min(N, J) > 512), where ``"scgoma"`` fits k from the sweep's
-    (max(k, k_max') + 10)-column sketch instead of its own k + 10 columns.
+    ``scgoma(R, k)`` / ``rmsp(R, k)`` exactly whenever max(k, k_max') <= 15.
+    Above that ``"scgoma"`` fits k from the sweep's decomposition, which
+    differs from its own where ``scgoma(R, k)`` takes the randomized SVD path
+    (see ``estimation.sweep_fitter``).
 
     ``seed`` >= 0, ``replicates`` >= 1, ``k_max`` >= 1 and each grid point's
     n >= 1 and k >= 1 are checked (``ConfigError``) before any replicate runs.
     A config fault found inside a replicate (a ``ConfigError`` such as a
-    sparsity outside (0, 1], a negative rho, too many pure subjects for n or
-    a model too large to allocate, or the ``InfeasibleSchemeError`` of a
-    discrete scheme that admits no mean) is raised and ends the sweep.  Only
-    data-dependent failures (``DistributionRangeError``, ``DimensionError``,
-    ``RankDeficiencyError`` or any other ``WgomError``) abort just that grid
-    point and record an error row (metrics NaN); remaining grid points still
-    run.
+    sparsity outside (0, 1], a negative rho, too many pure subjects for n, a
+    model too large to allocate or draws that overflow, or the
+    ``InfeasibleSchemeError`` of a discrete scheme that admits no mean) is
+    raised and ends the sweep.  Only data-dependent failures
+    (``DistributionRangeError``, ``DimensionError``, ``RankDeficiencyError``
+    or any other ``WgomError``) abort just that grid point and record an
+    error row (metrics NaN); remaining grid points still run.
     """
     family = normalize_family(family)
     if method not in ("scgoma", "rmsp"):

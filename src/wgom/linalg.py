@@ -1,8 +1,14 @@
 """Numerical kernels: truncated SVD and small-matrix inversion.
 
-Matrices up to min-side 512 get an exact dense decomposition; larger ones use
-randomized subspace iteration (oversampling 10, four power iterations) with an
-explicit seed so experiments stay reproducible.
+The top-k SVD has two paths.  The randomized one is a seeded range finder
+with four orthonormalized power iterations (Halko, Martinsson & Tropp 2011)
+that sketches ell = min(max(k + 10, 25), min(N, J)) columns.  Every k <= 15
+thus draws the same 25-column sketch for a given seed, and its top-k factors
+are exactly the leading k of the top-15 ones.  The dense path is the full
+thin SVD.  ``method="auto"`` takes it only where the sketch would cover half
+of min(N, J) or more (2 ell >= min(N, J)), which for k <= 15 means
+min(N, J) <= 50.  There a sketch saves no time and its singular values drift
+measurably from the exact ones (4e-8 on a 50 x 30 Gaussian matrix at k = 5).
 """
 
 from __future__ import annotations
@@ -13,7 +19,9 @@ import numpy as np
 
 from .errors import DegenerateRankError, DimensionError
 
-DENSE_MAX_SIDE = 512
+SKETCH_MIN_WIDTH = 25
+SKETCH_OVERSAMPLE = 10
+POWER_ITERATIONS = 4
 DEGENERATE_RTOL = 1e-12
 PINV_FALLBACK_RTOL = 1e-10
 SMALL_INVERSE_MAX_SIDE = 64
@@ -65,7 +73,9 @@ def top_k_svd(matrix, k: int, *, seed: int = 0, method: str = "auto") -> Truncat
     seed : int
         Seed for the randomized path; ignored by the dense path.
     method : {"auto", "dense", "randomized"}
-        "auto" picks dense for min(N, J) <= 512, randomized otherwise.
+        "auto" picks dense when the randomized sketch of
+        min(max(k + 10, 25), min(N, J)) columns would cover half of
+        min(N, J) or more, randomized otherwise.
 
     Raises
     ------
@@ -89,10 +99,13 @@ def _decompose(a: np.ndarray, k: int, *, seed: int = 0, method: str = "auto"):
     """Unchecked ``(u, s, vt)`` holding at least the top-k triplets of ``a``.
 
     The dense path returns the full thin SVD.  The randomized path sketches
-    k + 10 columns, so its leading triplets depend on k.
+    ``_sketch_width(k, min(N, J))`` columns, 25 for every k <= 15, and
+    ``"auto"`` chooses by that width, so for a given seed every k <= 15 gets
+    the same path and the same leading triplets.
     """
     if method == "auto":
-        method = "dense" if min(a.shape) <= DENSE_MAX_SIDE else "randomized"
+        side = min(a.shape)
+        method = "dense" if 2 * _sketch_width(k, side) >= side else "randomized"
     if method == "dense":
         return np.linalg.svd(a, full_matrices=False)
     return _randomized_svd(a, k, seed=seed)
@@ -110,21 +123,17 @@ def _leading(u: np.ndarray, s: np.ndarray, vt: np.ndarray, k: int) -> TruncatedS
     return TruncatedSVD(left=u, singulars=s, right=vt.T.copy())
 
 
-def _randomized_svd(
-    a: np.ndarray,
-    k: int,
-    *,
-    seed: int = 0,
-    oversample: int = 10,
-    power_iterations: int = 4,
-):
+def _sketch_width(k: int, side: int) -> int:
+    return min(max(k + SKETCH_OVERSAMPLE, SKETCH_MIN_WIDTH), side)
+
+
+def _randomized_svd(a: np.ndarray, k: int, *, seed: int = 0):
     """Halko-style range finder with orthonormalized power iterations."""
-    n, m = a.shape
-    ell = min(k + oversample, min(n, m))
+    ell = _sketch_width(k, min(a.shape))
     rng = np.random.default_rng(seed)
-    omega = rng.standard_normal((m, ell))
+    omega = rng.standard_normal((a.shape[1], ell))
     q, _ = np.linalg.qr(a @ omega)
-    for _ in range(power_iterations):
+    for _ in range(POWER_ITERATIONS):
         w, _ = np.linalg.qr(a.T @ q)
         q, _ = np.linalg.qr(a @ w)
     b = q.T @ a

@@ -111,11 +111,10 @@ def select_k(
     decomposition across the sweep (see ``estimation.sweep_fitter``):
     ``"scgoma"`` fits every k from one top-k_max SVD seeded with ``seed`` and
     ``"rmsp"`` from one k_max-pick successive-projection pass.  Each fit then
-    equals the single-k ``scgoma``/``rmsp`` fit exactly, except on the
-    randomized SVD path (min(N, J) > 512): there the one k_max + 10 column
-    sketch leaves the values up to the true class count and at k_max within
-    about 1e-7 of the single-k fits, and moves noise-level values by up to
-    about 0.04.
+    equals the single-k ``scgoma``/``rmsp`` fit exactly.  The one exception
+    is ``"scgoma"`` with k_max > 15 where a single fit takes the randomized
+    SVD path: the sweep's decomposition (k_max + 10 sketch columns, or dense)
+    is not the single fit's 25-column sketch.
     """
     r = response_array(responses)
     fit = estimation.sweep_fitter(r, estimator, k_max, seed=seed)

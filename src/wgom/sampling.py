@@ -18,7 +18,7 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .errors import DistributionRangeError, InfeasibleSchemeError
+from .errors import ConfigError, DistributionRangeError, InfeasibleSchemeError
 from .types import ModelSpec, ResponseMatrix, SampleDiagnostics
 
 PROB_TOL = 1e-12
@@ -260,6 +260,9 @@ def sample_response(spec: ModelSpec, seed) -> tuple[ResponseMatrix, SampleDiagno
     DistributionRangeError
         If any expected response falls outside the distribution's admissible
         mean range (the first offending entry is named).
+    ConfigError
+        If a draw overflows to a non-finite entry (means near the float
+        limit, say from a huge ``rho``).
     """
     rng = np.random.default_rng(seed)
     r0 = expected_responses(spec)
@@ -273,7 +276,13 @@ def sample_response(spec: ModelSpec, seed) -> tuple[ResponseMatrix, SampleDiagno
             f"{spec.distribution.name}"
         )
 
-    draws = spec.distribution.draw(r0, rng)
+    with np.errstate(over="ignore", invalid="ignore"):
+        draws = spec.distribution.draw(r0, rng)
+    if not np.isfinite(draws).all():
+        raise ConfigError(
+            f"{spec.distribution.name} draws overflow to a non-finite response; "
+            f"the largest |mean| is {np.abs(r0).max():.6g}"
+        )
 
     deviations = np.abs(draws - r0)
     tau_hat = float(deviations.max())

@@ -205,8 +205,9 @@ def validate_model_spec(spec: ModelSpec, *, pure_tol: float = PURE_TOL_SAMPLED) 
     nothing is raised.
 
     Checks: nonnegative memberships, unit row sums, at least one pure subject
-    per class, full column rank of the item parameters, and expected responses
-    inside the distribution's admissible mean range.
+    per class, item parameters with finite singular values (no overflow) and
+    full column rank, and expected responses inside the distribution's
+    admissible mean range.
     """
     violations = []
     pi = spec.membership.rows
@@ -227,7 +228,12 @@ def validate_model_spec(spec: ModelSpec, *, pure_tol: float = PURE_TOL_SAMPLED) 
 
     theta = spec.item_params.values
     sv = np.linalg.svd(theta, compute_uv=False)
-    if theta.shape[1] > min(theta.shape) or sv[0] == 0.0 or sv[min(k, len(sv)) - 1] <= RANK_RTOL * sv[0]:
+    if not np.isfinite(sv).all():
+        violations.append(
+            f"item parameter matrix overflows: its singular values are not finite "
+            f"(largest |entry| {np.abs(theta).max():.6g})"
+        )
+    elif theta.shape[1] > min(theta.shape) or sv[0] == 0.0 or sv[min(k, len(sv)) - 1] <= RANK_RTOL * sv[0]:
         violations.append(
             f"item parameter matrix is rank deficient (needs rank {k}, "
             f"sigma_min/sigma_max = {sv[-1] / sv[0] if sv[0] else 0.0:.3g})"

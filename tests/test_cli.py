@@ -260,7 +260,7 @@ def test_generate_discrete_distribution(tmp_path):
     assert expected.min() >= 0.25 - 1e-12 and expected.max() <= 1 / 3 + 1e-12
 
 
-def test_exit_code_config_error(tmp_path):
+def test_exit_code_config_error(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["generate", str(missing), "--out", str(tmp_path / "o")]) == 2
     bad = tmp_path / "bad.json"
@@ -309,6 +309,12 @@ def test_exit_code_config_error(tmp_path):
         path = tmp_path / "extra.json"
         path.write_text(json.dumps({**base, **extra}))
         assert main(["generate", str(path), "--out", str(tmp_path / "o")]) == 2
+    # A huge finite rho overflows the item parameters' singular values.
+    path.write_text(json.dumps({**base, "distribution": {"name": "normal"}, "rho": 1e308}))
+    capsys.readouterr()
+    assert main(["generate", str(path), "--out", str(tmp_path / "o")]) == 2
+    message = capsys.readouterr().err
+    assert "overflow" in message and "rank deficient" not in message
     experiment = tmp_path / "experiment.json"
     sweep = {
         "family": "rho", "values": [1.0], "n": 40, "replicates": 1,
@@ -332,6 +338,7 @@ def test_exit_code_config_error(tmp_path):
         {"seed": 1e999},
         {"family": "n", "values": [1e999]},
         {"values": [1e999], "distribution": {"name": "uniform"}},
+        {"values": [1e308], "distribution": {"name": "uniform"}},  # draws overflow
         # Faults found inside a replicate end the run instead of a NaN row.
         {"sparsity": 2},
         {"family": "n", "values": [40], "rho": -1},

@@ -221,7 +221,14 @@ def test_run_experiment_decomposes_each_replicate_once(monkeypatch, method):
 @pytest.mark.parametrize("method", ["scgoma", "rmsp"])
 @pytest.mark.parametrize("k_max", [5, 2])
 def test_run_experiment_rows_equal_separate_fits(method, k_max):
-    distribution, n, k, seed = Binomial(m=4), 60, 3, 5
+    # n = 60 (J = 30) runs the dense SVD path, n = 120 (J = 60) the randomized
+    # one, whose 25-column sketch the sweep and scgoma(R, k) share.
+    for n in (60, 120):
+        check_rows_equal_separate_fits(method, k_max, n)
+
+
+def check_rows_equal_separate_fits(method, k_max, n):
+    distribution, k, seed = Binomial(m=4), 3, 5
     rows = run_experiment(
         "rho", [1.0, 2.0], distribution, method=method, replicates=3, seed=seed, n=n, k=k,
         k_max=k_max,

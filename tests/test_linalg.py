@@ -79,6 +79,33 @@ def test_randomized_path_matches_dense():
     assert np.array_equal(randomized.left, again.left)
 
 
+@pytest.mark.parametrize("k, n, dense_side", [(3, 60, 50), (20, 80, 60)])
+def test_auto_switches_path_where_the_sketch_covers_half_the_min_side(k, n, dense_side):
+    # The sketch has max(k + 10, 25) columns: 25 at k = 3, 30 at k = 20.
+    rng = np.random.default_rng(k)
+    for side, method in ((dense_side, "dense"), (dense_side + 1, "randomized")):
+        a = rng.standard_normal((n, side))
+        auto = top_k_svd(a, k, seed=7)
+        pinned = top_k_svd(a, k, seed=7, method=method)
+        for got, want in zip(
+            (auto.left, auto.singulars, auto.right),
+            (pinned.left, pinned.singulars, pinned.right),
+        ):
+            assert np.array_equal(got, want)
+
+
+def test_one_sketch_serves_every_k_up_to_15():
+    a = np.random.default_rng(8).standard_normal((90, 70))
+    top = top_k_svd(a, 15, method="randomized", seed=3)
+    for k in (1, 5, 14):
+        svd = top_k_svd(a, k, method="randomized", seed=3)
+        assert np.array_equal(svd.left, top.left[:, :k])
+        assert np.array_equal(svd.singulars, top.singulars[:k])
+    # Above 15 the sketch widens with k, so the factors differ.
+    wider = top_k_svd(a, 16, method="randomized", seed=3)
+    assert not np.array_equal(wider.left[:, :15], top.left)
+
+
 def test_randomized_internal_shapes():
     rng = np.random.default_rng(6)
     a = rng.standard_normal((40, 25))

@@ -114,8 +114,7 @@ def test_memberships_invariant_under_positive_scaling(noisy_k, c):
 @settings(max_examples=4, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_same_seed_same_results(seed):
-    # n = 1040, J = 520: min side above the dense limit, so the seeded
-    # randomized SVD path runs.
+    # n = 1040, J = 520: the seeded randomized SVD path runs.
     spec = simulation_spec(Binomial(m=5), n=1040, rho=3.0, rng=np.random.default_rng(seed))
     first, _ = sample_response(spec, seed)
     second, _ = sample_response(spec, seed)
@@ -169,21 +168,33 @@ def test_select_k_sweep_equals_per_k_fits_on_dense_path(r, k_max, method, seed):
 
 @pytest.mark.filterwarnings("ignore:.*clamped to zero:RuntimeWarning")
 def test_select_k_sweep_on_randomized_path():
-    # Min side 520 is above the dense limit.  The sweep's one sketch has
-    # k_max + 10 columns where a fit at k has k + 10, so only the values up to
-    # the true k (to 4 decimals) and the value at k_max (same sketch) match.
+    # Min side 520 runs the randomized path.  Every k <= 15 sketches the same
+    # 25 columns for a given seed, so the sweep equals the per-k fits exactly.
     rng = np.random.default_rng(11)
     spec = simulation_spec(Binomial(m=5), n=1040, rho=3.0, rng=rng)
     r, _ = sample_response(spec, rng)
-    k_max = 6
-    k_hat, curve = select_k(r, "scgoma", k_max, seed=4)
-    ref_k_hat, ref_curve = select_k(r, per_k("scgoma", 4), k_max)
-    assert k_hat == ref_k_hat == 3
-    assert [k for k, _ in curve] == [k for k, _ in ref_curve]
-    q, ref_q = dict(curve), dict(ref_curve)
-    for k in (1, 2, 3):
-        assert abs(q[k] - ref_q[k]) <= 5e-5
-    assert q[k_max] == ref_q[k_max]
+    k_hat, curve = select_k(r, "scgoma", 6, seed=4)
+    assert k_hat == 3
+    assert (k_hat, curve) == select_k(r, per_k("scgoma", 4), 6)
+
+
+# Min side 51-80 with k_max <= 15: the smallest inputs on the randomized path.
+@pytest.mark.filterwarnings("ignore:.*clamped to zero:RuntimeWarning")
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(2, 4),
+    side=st.integers(51, 80),
+    extra=st.integers(0, 40),
+    k_max=st.integers(1, 15),
+    tall=st.booleans(),
+)
+def test_select_k_sweep_equals_per_k_fits_on_randomized_path(seed, k, side, extra, k_max, tall):
+    r, _ = noisy_responses(seed, k, side + extra - 5 * k, side)
+    if not tall:
+        r = r.T.copy()
+    assert min(r.shape) == side
+    assert select_k(r, "scgoma", k_max, seed=seed) == select_k(r, per_k("scgoma", seed), k_max)
 
 
 def signed_responses(seed, kind, n, j):
