@@ -34,9 +34,11 @@ from .errors import (
 )
 from .experiments import (
     block_memberships,
+    config_value,
     default_item_params,
     distribution_from_config,
     normalize_family,
+    parse_config,
     run_experiment,
     unallocatable,
 )
@@ -75,15 +77,6 @@ def _load_config(path) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 
-def _config_value(config: dict, key: str, kind, default=None):
-    """``config[key]`` (``default`` when absent) converted by ``kind``, else ``ConfigError``."""
-    value = config.get(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"config key {key!r} must be {kind.__name__}, got {value!r}") from exc
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -102,21 +95,11 @@ def _load_pruned_matrix(args) -> np.ndarray:
 
 
 def _spec_from_config(config: dict) -> tuple[ModelSpec, int]:
-    for key in ("n", "j", "k", "distribution"):
-        if key not in config:
-            raise ConfigError(f"generate config is missing {key!r}")
+    config = parse_config(config, "generate")
     distribution = distribution_from_config(config["distribution"])
-    seed = _config_value(config, "seed", int, 0)
-    n, j, k = (_config_value(config, key, int) for key in ("n", "j", "k"))
-    if min(n, j, k) < 1 or seed < 0:
-        raise ConfigError(f"n, j and k must be positive and seed >= 0, got {n}, {j}, {k}, {seed}")
-    for key in ("membership_file", "item_params_file"):
-        if not isinstance(config.get(key, ""), str):
-            raise ConfigError(f"config key {key!r} must be a file path, got {config[key]!r}")
+    seed, n, j, k = config.get("seed", 0), config["n"], config["j"], config["k"]
     rng = np.random.default_rng(seed)
     mixed = config.get("mixed_membership", "uniform")
-    if isinstance(mixed, list):
-        mixed = tuple(mixed)
 
     if "membership_file" in config:
         membership = MembershipMatrix(matrix_io.read_matrix(config["membership_file"]))
@@ -126,8 +109,7 @@ def _spec_from_config(config: dict) -> tuple[ModelSpec, int]:
                 f"config says {n}x{k}"
             )
     else:
-        n_pure = _config_value(config, "n_pure_per_class", int, n // 4)
-        membership = block_memberships(n, k, n_pure, mixed=mixed, rng=rng)
+        membership = block_memberships(n, k, config.get("n_pure_per_class", n // 4), mixed=mixed, rng=rng)
 
     if "item_params_file" in config:
         item_params = ItemParams(matrix_io.read_matrix(config["item_params_file"]))
@@ -141,7 +123,7 @@ def _spec_from_config(config: dict) -> tuple[ModelSpec, int]:
             distribution,
             j,
             k,
-            _config_value(config, "rho", float, 1.0),
+            config.get("rho", 1.0),
             rng,
             config.get("mean_range"),
         )
@@ -150,7 +132,7 @@ def _spec_from_config(config: dict) -> tuple[ModelSpec, int]:
         membership=membership,
         item_params=item_params,
         distribution=distribution,
-        sparsity=_config_value(config, "sparsity", float, 1.0),
+        sparsity=config.get("sparsity", 1.0),
     )
     return spec, seed
 
@@ -189,10 +171,11 @@ def cmd_generate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    seed = config_value("seed", args.seed)
     values = _load_pruned_matrix(args)
     started = time.perf_counter()
     if args.method == "scgoma":
-        result = estimation.scgoma(values, args.k, seed=args.seed or 0)
+        result = estimation.scgoma(values, args.k, seed=seed)
     else:
         result = estimation.rmsp(values, args.k)
     elapsed = time.perf_counter() - started
@@ -205,7 +188,7 @@ def cmd_estimate(args) -> int:
         "command": "estimate",
         "method": args.method,
         "k": args.k,
-        "seed": args.seed or 0,
+        "seed": seed,
         "timing_seconds": elapsed,
         "pure_subject_rows": result.pure_index_set,
         "singular_values": [float(s) for s in result.singular_values],
@@ -230,8 +213,9 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_select_k(args) -> int:
+    seed = config_value("seed", args.seed)
     values = _load_pruned_matrix(args)
-    k_hat, curve = select_k(values, args.method, k_max=args.k_max, seed=args.seed or 0)
+    k_hat, curve = select_k(values, args.method, k_max=args.k_max, seed=seed)
     payload = {
         "command": "select-k",
         "method": args.method,
@@ -248,18 +232,12 @@ def cmd_select_k(args) -> int:
 
 def cmd_experiment(args) -> int:
     config = _load_config(args.config)
-    for key in ("family", "values", "distribution"):
-        if key not in config:
-            raise ConfigError(f"experiment config is missing {key!r}")
-    family = normalize_family(config["family"])
-    distribution = distribution_from_config(config["distribution"])
-    methods = config.get("methods", ["scgoma"])
-    for key, value in (("methods", methods), ("values", config["values"])):
-        if not isinstance(value, list) or not value:
-            raise ConfigError(f"config key {key!r} must be a non-empty list, got {value!r}")
-    seed = args.seed if args.seed is not None else _config_value(config, "seed", int, 0)
-    replicates = args.replicates or _config_value(config, "replicates", int, 20)
-    k_max = args.k_max or _config_value(config, "k_max", int, 15)
+    settings = parse_config(config, "experiment")
+    overrides = {key: getattr(args, key) for key in ("seed", "replicates", "k_max")}
+    settings.update((key, config_value(key, value)) for key, value in overrides.items() if value is not None)
+    family = normalize_family(settings["family"])
+    distribution = distribution_from_config(settings["distribution"])
+    seed, replicates, k_max = settings.get("seed", 0), settings.get("replicates", 20), settings.get("k_max", 15)
 
     out = _out_dir(args)
     manifest = {
@@ -272,21 +250,17 @@ def cmd_experiment(args) -> int:
         "errors": [],
         "files": [],
     }
-    for method in methods:
+    for method in settings.get("methods", ["scgoma"]):
         rows = run_experiment(
             family,
-            config["values"],
+            settings["values"],
             distribution,
             method=method,
             replicates=replicates,
             seed=seed,
-            n=_config_value(config, "n", int, 400),
-            k=_config_value(config, "k", int, 3),
-            rho=_config_value(config, "rho", float, 1.0),
-            sparsity=_config_value(config, "sparsity", float, 1.0),
             k_max=k_max,
             threads=args.threads,
-            mean_range=config.get("mean_range"),
+            **{key: settings[key] for key in ("n", "k", "rho", "sparsity", "mean_range") if key in settings},
         )
         name = f"results_{method}.{'json' if args.format == 'json' else 'csv'}"
         path = out / name
@@ -352,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("matrix", help="dense CSV or 1-indexed coordinate file")
     est.add_argument("--k", type=int, required=True, help="number of latent classes")
     est.add_argument("--method", choices=("scgoma", "rmsp"), default="scgoma")
-    est.add_argument("--seed", type=int, default=None, help="seed for the randomized SVD path")
+    est.add_argument("--seed", type=int, default=0, help="seed for the randomized SVD path")
     est.add_argument("--out", default="wgom-out")
     est.add_argument("--format", choices=("json", "csv"), default="json", help="summary format")
     est.add_argument(
@@ -373,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     sel.add_argument("matrix")
     sel.add_argument("--method", choices=("scgoma", "rmsp"), default="scgoma")
     sel.add_argument("--k-max", type=int, default=15, dest="k_max")
-    sel.add_argument("--seed", type=int, default=None)
+    sel.add_argument("--seed", type=int, default=0)
     sel.add_argument("--out", default=None, help="also write select_k.json here")
     sel.add_argument("--prune", action="store_true")
     sel.set_defaults(func=cmd_select_k)

@@ -13,7 +13,10 @@ points so parameter comparisons are paired.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -27,7 +30,70 @@ from .modularity import select_k
 from .sampling import DISTRIBUTIONS, GeneralDiscrete, sample_response
 from .types import ItemParams, MembershipMatrix, ModelSpec
 
-EXPERIMENT_FAMILIES = ("rho", "n", "k", "p")
+# Every top-level key of a ``generate`` or ``experiment`` config: the subcommands
+# that accept and require it, and its kind (None: checked where it is used): a whole
+# number (int) >= least, a finite real (float) in (least, most], a non-empty str or list.
+ConfigKey = namedtuple("ConfigKey", "commands required kind least most", defaults=((), None, 0, math.inf))
+GENERATE, EXPERIMENT, BOTH = ("generate",), ("experiment",), ("generate", "experiment")
+CONFIG_KEYS = {
+    "distribution": ConfigKey(BOTH, BOTH),
+    "n": ConfigKey(BOTH, GENERATE, int, 1),
+    "j": ConfigKey(GENERATE, GENERATE, int, 1),
+    "k": ConfigKey(BOTH, GENERATE, int, 1),
+    "seed": ConfigKey(BOTH, (), int, 0),
+    "n_pure_per_class": ConfigKey(GENERATE, (), int, 0),
+    "replicates": ConfigKey(EXPERIMENT, (), int, 1),
+    "k_max": ConfigKey(EXPERIMENT, (), int, 1),
+    "rho": ConfigKey(BOTH, (), float),
+    "sparsity": ConfigKey(BOTH, (), float, 0, 1),
+    "mean_range": ConfigKey(BOTH),
+    "mixed_membership": ConfigKey(GENERATE),
+    "membership_file": ConfigKey(GENERATE, (), str),
+    "item_params_file": ConfigKey(GENERATE, (), str),
+    "family": ConfigKey(EXPERIMENT, EXPERIMENT),
+    "values": ConfigKey(EXPERIMENT, EXPERIMENT, list),
+    "methods": ConfigKey(EXPERIMENT, (), list),
+}
+# The config key each experiment family sweeps.
+FAMILY_KEYS = {"rho": "rho", "n": "n", "k": "k", "p": "sparsity"}
+
+
+def config_value(key: str, value):
+    """``value`` as the kind ``CONFIG_KEYS`` gives ``key``, else ``ConfigError`` naming
+    key, rule and value.  Python and numpy numbers pass as numbers; a bool, str or None,
+    a non-finite number, an int beyond float range or a fraction for an int key do not."""
+    _, _, kind, least, most = CONFIG_KEYS[key]
+    if kind in (str, list):
+        if isinstance(value, kind) and value:
+            return value
+        rule = f"a non-empty {kind.__name__}"
+    else:
+        try:
+            number = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+        except OverflowError:
+            number = math.nan
+        if kind is int and number.is_integer() and number >= least:
+            return int(value)
+        if kind is float and math.isfinite(number) and least < number <= most:
+            return number
+        bound = f" and <= {most}" if most < math.inf else ""
+        rule = f"a whole number >= {least}" if kind is int else f"a finite number > {least}{bound}"
+    raise ConfigError(f"{key} must be {rule}, got {value!r}")
+
+
+def parse_config(config, command: str) -> dict:
+    """A copy of the ``command`` config with each value of a key of known kind
+    passed through ``config_value``; ``ConfigError`` if ``config`` is not a JSON
+    object, lacks a key ``command`` requires or holds one it does not accept."""
+    if not isinstance(config, dict):
+        raise ConfigError(f"the {command} config must be a JSON object, got {type(config).__name__}")
+    accepted = [key for key, rule in CONFIG_KEYS.items() if command in rule.commands]
+    missing = [key for key in accepted if command in CONFIG_KEYS[key].required and key not in config]
+    unknown = [key for key in config if key not in accepted]
+    if missing or unknown:
+        fault = f"is missing {missing[0]!r}" if missing else f"has unknown key {unknown[0]!r}"
+        raise ConfigError(f"{command} config {fault}; it takes {accepted}")
+    return {key: config_value(key, value) if CONFIG_KEYS[key].kind else value for key, value in config.items()}
 
 
 def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
@@ -43,8 +109,7 @@ def block_memberships(n: int, k: int, n_pure_per_class: int, mixed="uniform", rn
     whose first k-1 weights are drawn independently from U(0, 1/k) with the
     last taking the remainder.
     """
-    if k < 1:
-        raise ConfigError(f"the class count k must be at least 1, got {k}")
+    k, n_pure_per_class = config_value("k", k), config_value("n_pure_per_class", n_pure_per_class)
     if n_pure_per_class * k > n:
         raise ConfigError(
             f"{k} classes x {n_pure_per_class} pure subjects exceed n={n}"
@@ -113,8 +178,7 @@ def random_item_params(
         lo, hi = mean_range
         values = lo + (hi - lo) * rng.random((n_items, k))
         return ItemParams(values)
-    if not 0 < rho < np.inf:
-        raise ConfigError(f"rho must be positive and finite, got {rho}")
+    rho = config_value("rho", rho)
     b = rng.uniform(-1.0, 1.0, (n_items, k)) if signed else rng.random((n_items, k))
     return ItemParams(rho * b)
 
@@ -158,18 +222,14 @@ def simulation_spec(
     )
 
 
-def class_count_sweep_spec(distribution, k: int, rho: float, rng, *, sparsity: float = 1.0) -> ModelSpec:
+def _class_count_geometry(k: int) -> dict:
     """Geometry for varying the class count: N = 100k, J = 50k, 80 pure each."""
-    return simulation_spec(
-        distribution,
-        n=100 * k,
-        j=50 * k,
-        k=k,
-        n_pure=80,
-        rho=rho,
-        rng=rng,
-        sparsity=sparsity,
-    )
+    return {"n": 100 * k, "j": 50 * k, "k": k, "n_pure": 80}
+
+
+def class_count_sweep_spec(distribution, k: int, rho: float, rng, *, sparsity: float = 1.0) -> ModelSpec:
+    """Model spec at the class-count sweep geometry (see ``_class_count_geometry``)."""
+    return simulation_spec(distribution, rho=rho, rng=rng, sparsity=sparsity, **_class_count_geometry(k))
 
 
 def distribution_from_config(config: dict):
@@ -202,28 +262,10 @@ class GridRow:
 
 def normalize_family(family: str) -> str:
     """Accept both "rho" and "vary-rho" spellings of a sweep family."""
-    name = str(family)
-    if name.startswith("vary-"):
-        name = name[len("vary-") :]
-    if name not in EXPERIMENT_FAMILIES:
-        raise ConfigError(
-            f"unknown experiment family {family!r}; pick one of {EXPERIMENT_FAMILIES}"
-        )
+    name = str(family).removeprefix("vary-")
+    if name not in FAMILY_KEYS:
+        raise ConfigError(f"unknown experiment family {family!r}; pick one of {tuple(FAMILY_KEYS)}")
     return name
-
-
-def _point_params(family: str, value, base: dict) -> dict:
-    params = dict(base)
-    key, kind = {
-        "rho": ("rho", float), "n": ("n", int), "k": ("k", int), "p": ("sparsity", float)
-    }[family]
-    try:
-        params[key] = kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(
-            f"experiment value {value!r} for family {family!r} must be {kind.__name__}"
-        ) from exc
-    return params
 
 
 def run_experiment(
@@ -258,11 +300,10 @@ def run_experiment(
     differs from its own where ``scgoma(R, k)`` takes the randomized SVD path
     (see ``estimation.sweep_fitter``).
 
-    ``seed`` >= 0, ``replicates`` >= 1, ``k_max`` >= 1 and each grid point's
-    n >= 1 and k >= 1 are checked (``ConfigError``) before any replicate runs.
-    A config fault found inside a replicate (a ``ConfigError`` such as a
-    sparsity outside (0, 1], a negative rho, too many pure subjects for n, a
-    model too large to allocate or draws that overflow, or the
+    Every numeric argument and grid value passes ``config_value`` (``ConfigError``)
+    before any replicate runs; the ``"k"`` family samples at ``_class_count_geometry``.
+    A config fault found inside a replicate (a ``ConfigError`` such as too many
+    pure subjects for n, a model too large to allocate or draws that overflow, or the
     ``InfeasibleSchemeError`` of a discrete scheme that admits no mean) is
     raised and ends the sweep.  Only data-dependent failures
     (``DistributionRangeError``, ``DimensionError``, ``RankDeficiencyError``
@@ -274,32 +315,18 @@ def run_experiment(
         raise ConfigError(f"unknown method {method!r}")
     mean_range = _mean_range_pair(mean_range)
 
-    base = {"n": int(n), "k": int(k), "rho": float(rho), "sparsity": float(sparsity)}
-    points = [(value, _point_params(family, value, base)) for value in values]
-    checks = [("seed", seed, 0), ("replicates", replicates, 1), ("k_max", k_max, 1)]
-    checks += [(key, params[key], 1) for _, params in points for key in ("n", "k")]
-    for key, number, least in checks:
-        if number < least:
-            raise ConfigError(f"{key} must be at least {least}, got {number}")
+    seed, replicates, k_max = (config_value(*item) for item in (("seed", seed), ("replicates", replicates), ("k_max", k_max)))
+    base = {key: config_value(key, number) for key, number in (("n", n), ("k", k), ("rho", rho), ("sparsity", sparsity))}
+    key = FAMILY_KEYS[family]
+    points = [(value, {**base, key: config_value(key, value)}) for value in values]
+    if family == "k":
+        points = [(value, {**params, **_class_count_geometry(params["k"])}) for value, params in points]
     rows = []
     for value, params in points:
 
         def one_replicate(rep: int, params=params):
             rng = replicate_rng(seed, rep)
-            if family == "k":
-                spec = class_count_sweep_spec(
-                    distribution, params["k"], params["rho"], rng, sparsity=params["sparsity"]
-                )
-            else:
-                spec = simulation_spec(
-                    distribution,
-                    n=params["n"],
-                    k=params["k"],
-                    rho=params["rho"],
-                    sparsity=params["sparsity"],
-                    mean_range=mean_range,
-                    rng=rng,
-                )
+            spec = simulation_spec(distribution, **params, mean_range=mean_range, rng=rng)
             responses, _ = sample_response(spec, rng)
             k, k_sweep = params["k"], min(k_max, min(responses.values.shape))
             started = time.perf_counter()
@@ -320,8 +347,7 @@ def run_experiment(
         except (ConfigError, InfeasibleSchemeError):
             raise
         except MemoryError as exc:
-            n = 100 * params["k"] if family == "k" else params["n"]
-            raise unallocatable(n, n // 2) from exc
+            raise unallocatable(params["n"], params.get("j", params["n"] // 2)) from exc
         except WgomError as exc:
             rows.append(
                 GridRow(

@@ -305,6 +305,18 @@ def test_exit_code_config_error(tmp_path, capsys):
         {"n_pure_per_class": 1e999},
         {"distribution": {"name": "uniform"}, "rho": 1e999},
         *({"distribution": dist} for dist in bad_distributions),
+        # Fractional whole numbers, bools and numeric strings are not read as numbers.
+        {"n": 20.7},
+        {"j": 10.5},
+        {"k": 1.5},
+        {"seed": 0.5},
+        {"n_pure_per_class": 2.5},
+        {"rho": True},
+        {"n": "20"},
+        {"sparsity": "0.5"},
+        {"n_pure_per_class": -1, "mixed_membership": "random"},
+        {"membership_file": ""},
+        {"replicates": 2},  # an experiment key
     ):
         path = tmp_path / "extra.json"
         path.write_text(json.dumps({**base, **extra}))
@@ -346,9 +358,50 @@ def test_exit_code_config_error(tmp_path, capsys):
         {"n": 1e12},  # the model cannot be allocated
         {"distribution": {"name": "discrete", "support": [0, 1, 2], "scheme": 1}},  # no mean
         *({"distribution": dist} for dist in bad_distributions),
+        {"n": 40.5},
+        {"k": 2.5},
+        {"seed": 0.5},
+        {"replicates": 1.5},
+        {"k_max": 2.5},
+        {"family": "n", "values": [40.5]},
+        {"family": "k", "values": [2.5]},
+        {"rho": True},
+        {"replicates": True},
+        {"n": "40"},
+        {"sparsity": "0.5"},
+        {"values": ["0.6"]},
+        # Unknown keys: a typo for "methods", a generate key and a CLI flag.
+        {"method": "rmsp"},
+        {"j": 100},
+        {"threads": 2},
     ):
         experiment.write_text(json.dumps({**sweep, **extra}))
         assert main(["experiment", str(experiment), "--out", str(tmp_path / "o")]) == 2
+    for command in ("generate", "experiment"):
+        for config in ("5", "null", "[1]", '"n"'):
+            experiment.write_text(config)
+            assert main([command, str(experiment), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_flags_follow_the_config_rules(tmp_path):
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(
+        json.dumps(
+            {"family": "rho", "values": [1.0], "n": 40, "replicates": 1, "k_max": 3,
+             "distribution": {"name": "bernoulli"}}
+        )
+    )
+    for flags in (["--replicates", "0"], ["--k-max", "0"], ["--seed", "-1"]):
+        assert main(["experiment", str(sweep), "--out", str(tmp_path / "x"), *flags]) == 2
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"n": 20, "j": 10, "k": 2, "distribution": {"name": "bernoulli"}}))
+    assert main(["generate", str(model), "--out", str(tmp_path / "g"), "--seed", "-1"]) == 2
+    # At min side 60 > 50 the fit takes the seeded randomized SVD path.
+    matrix = tmp_path / "m.csv"
+    write_dense_csv(matrix, np.random.default_rng(0).random((80, 60)))
+    for argv in (["estimate", str(matrix), "--k", "2", "--out", str(tmp_path / "e")], ["select-k", str(matrix)]):
+        assert main([*argv, "--seed", "-1"]) == 2
+    assert not (tmp_path / "x").exists() and not (tmp_path / "e").exists()
 
 
 def test_exit_code_data_error(tmp_path):

@@ -30,7 +30,13 @@ from wgom import (
     validate_model_spec,
     vertex_hunting,
 )
-from wgom.experiments import class_count_sweep_spec, normalize_family, replicate_rng
+from wgom.experiments import (
+    class_count_sweep_spec,
+    config_value,
+    normalize_family,
+    parse_config,
+    replicate_rng,
+)
 from wgom.metrics import accuracy_rate
 
 
@@ -57,6 +63,8 @@ def test_block_memberships_fixed_and_random_mixed_rows():
         block_memberships(8, 2, 3, mixed=(0.5, 0.7))
     with pytest.raises(ConfigError):
         block_memberships(8, 0, 2)
+    with pytest.raises(ConfigError):
+        block_memberships(20, 2, -1, mixed="random", rng=rng)
 
 
 def test_random_item_params_modes():
@@ -269,8 +277,78 @@ def test_run_experiment_checks_the_whole_grid_before_any_replicate(monkeypatch):
         {"family": "n", "values": [40, -5]},
         {"family": "k", "values": [2, 0]},
         {"seed": -1}, {"replicates": 0}, {"k_max": 0}, {"n": 0}, {"k": 0},
+        {"family": "n", "values": [40.5]},
+        {"family": "k", "values": [2.5]},
+        {"values": ["0.6"]},
+        {"replicates": True}, {"n": 40.5}, {"rho": float("inf")}, {"rho": -1.0}, {"sparsity": 2.0},
     ):
         kwargs = {"family": "rho", "values": [1.0], **kwargs}
         with pytest.raises(ConfigError):
             run_experiment(distribution=Bernoulli(), **kwargs)
     assert drawn == []
+
+
+def test_config_value_converts_by_the_table():
+    assert config_value("n", 20) == 20 and type(config_value("n", 20.0)) is int
+    assert config_value("n", np.int64(7)) == 7 and type(config_value("k", np.float64(3.0))) is int
+    assert config_value("seed", 2**70) == 2**70
+    assert config_value("rho", np.float32(0.5)) == 0.5 and type(config_value("sparsity", 1)) is float
+    assert config_value("values", [1.0]) == [1.0] and config_value("membership_file", "pi.csv") == "pi.csv"
+    for key, value in (
+        ("n", 20.7), ("seed", 0.5), ("n", True), ("rho", True), ("replicates", np.bool_(True)),
+        ("n", "20"), ("sparsity", "0.5"), ("seed", None), ("rho", float("inf")), ("rho", float("nan")),
+        ("n", 10**400), ("n", 0), ("seed", -1), ("n_pure_per_class", -1), ("rho", 0.0),
+        ("sparsity", 0.0), ("sparsity", 1.5), ("values", []), ("methods", "scgoma"), ("membership_file", 5),
+    ):
+        with pytest.raises(ConfigError, match=f"^{key} must be ") as raised:
+            config_value(key, value)
+        assert repr(value) in str(raised.value)
+
+
+def test_parse_config_requires_known_keys():
+    sweep = {"family": "rho", "values": [1.0], "distribution": {"name": "bernoulli"}}
+    assert parse_config({**sweep, "n": 40.0}, "experiment") == {**sweep, "n": 40}
+    for config, key in (
+        ({"values": [1.0], "distribution": {"name": "bernoulli"}}, "family"),
+        ({**sweep, "method": "rmsp"}, "method"),
+        ({**sweep, "j": 100}, "j"),
+        ({**sweep, "threads": 2}, "threads"),
+    ):
+        with pytest.raises(ConfigError, match=repr(key)):
+            parse_config(config, "experiment")
+    with pytest.raises(ConfigError, match="'j'"):
+        parse_config({"n": 4, "k": 2, "distribution": {"name": "bernoulli"}}, "generate")
+    for config in (5, None, [1], "n"):
+        with pytest.raises(ConfigError):
+            parse_config(config, "generate")
+
+
+@pytest.mark.parametrize("method", ["scgoma", "rmsp"])
+def test_class_count_family_samples_within_mean_range(method):
+    distribution, seed, k, k_max = GeneralDiscrete(support=(0, 1, 2, 3)), 7, 2, 3
+    metrics = set()
+    for mean_range in (None, (0.5, 1.0), (1.0, 1.4)):
+        (row,) = run_experiment(
+            "k", [k], distribution, method=method, replicates=2, seed=seed, k_max=k_max,
+            mean_range=mean_range,
+        )
+        hams, rels, k_hats = [], [], []
+        for rep in range(2):
+            rng = replicate_rng(seed, rep)
+            spec = simulation_spec(
+                distribution, n=100 * k, j=50 * k, k=k, n_pure=80, mean_range=mean_range, rng=rng
+            )
+            responses, _ = sample_response(spec, rng)
+            result = (scgoma if method == "scgoma" else rmsp)(responses, k)
+            hams.append(hamming_error(result.membership_hat, spec.membership))
+            rels.append(relative_error(result.item_params_hat, spec.item_params.values))
+            k_hats.append(select_k(responses, method, k_max=k_max)[0])
+        assert row == replace(
+            row,
+            mean_hamming_error=float(np.mean(hams)),
+            mean_relative_error=float(np.mean(rels)),
+            accuracy_rate=accuracy_rate(k_hats, k),
+        )
+        assert row.error is None
+        metrics.add((row.mean_hamming_error, row.mean_relative_error))
+    assert len(metrics) == 3

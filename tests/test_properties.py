@@ -1,14 +1,17 @@
 """Property tests for the estimators, the modularity scorer and the input gate.
 
 Each property draws small inputs with ``hypothesis``; example counts are
-bounded so the file stays fast.  The CLI fuzz test runs ``main`` in-process on
-malformed matrix files and requires a documented exit code, never an
-exception.
+bounded so the file stays fast.  The CLI fuzz tests run ``main`` in-process on
+malformed matrix files and on ``generate``/``experiment`` configs with arbitrary
+JSON values, and require a documented exit code, never an exception.
 """
 
 import contextlib
 import io
+import json
 import re
+import tempfile
+import warnings
 from unittest.mock import patch
 
 import numpy as np
@@ -32,6 +35,7 @@ from wgom import (
 )
 from wgom import modularity
 from wgom.cli import main
+from wgom.experiments import CONFIG_KEYS
 
 from helpers import modularity_double_sum, random_row_stochastic
 
@@ -311,3 +315,65 @@ def test_cli_fuzz_exits_with_documented_codes(tmp_path, text, prune):
         assert code in (0, 2, 3, 4)
         written = printed.getvalue() + "".join(p.read_text() for p in out.glob("*"))
         assert not NON_FINITE.search(written)
+
+
+# Config values are arbitrary JSON: numbers past float range (1e999 is written
+# as Infinity, 10**400 has no float), NaN, strings, bools, null, lists and
+# objects, plus values that pass the rules.  Whole numbers stay small, so a
+# config that passes every rule still samples a tiny model.
+VALID_NUMBERS = st.sampled_from([1, 2, 3, 0.5, 1.0])
+CONFIG_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 5)
+    | st.floats(-2, 5)
+    | st.sampled_from([1e999, -1e999, float("nan"), 10**400, "rho", "k", "p", "random", "uniform"])
+    | st.text(max_size=4)
+)
+CONFIG_VALUES = (
+    VALID_NUMBERS
+    | st.lists(VALID_NUMBERS, min_size=1, max_size=2)
+    | st.recursive(
+        CONFIG_SCALARS,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=2),
+        max_leaves=6,
+    )
+)
+VALID_CONFIGS = {
+    "generate": {"n": 12, "j": 6, "k": 2, "distribution": {"name": "bernoulli"}, "rho": 0.5},
+    "experiment": {
+        "family": "rho", "values": [0.5], "n": 12, "k": 2, "replicates": 1, "k_max": 2,
+        "distribution": {"name": "bernoulli"},
+    },
+}
+# Every table key plus keys no subcommand accepts.
+CONFIG_FIELDS = st.sampled_from(sorted(CONFIG_KEYS) + ["method", "threads"])
+
+
+@st.composite
+def cli_configs(draw):
+    """A subcommand and a valid config of it with up to 3 keys set to drawn values;
+    keys the subcommand accepts are drawn more often."""
+    command = draw(st.sampled_from(sorted(VALID_CONFIGS)))
+    accepted = sorted(key for key, rule in CONFIG_KEYS.items() if command in rule.commands)
+    changes = draw(st.dictionaries(st.sampled_from(accepted) | CONFIG_FIELDS, CONFIG_VALUES, max_size=3))
+    return command, {**VALID_CONFIGS[command], **changes}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(command_config=cli_configs())
+def test_config_fuzz_exits_with_documented_codes(command_config):
+    command, config = command_config
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/config.json"
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        printed = io.StringIO()
+        # Tiny or out-of-range models may clamp rows or overflow; warnings are not under test.
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("ignore")
+            with contextlib.redirect_stderr(printed):
+                code = main([command, path, "--out", f"{tmp}/out"])
+    assert code in (0, 2, 3, 4)
+    lines = printed.getvalue().splitlines()
+    assert lines == [] if code == 0 else len(lines) == 1 and lines[0].startswith("error: ")
