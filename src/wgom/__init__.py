@@ -39,7 +39,7 @@ from .sampling import (
     sample_response,
 )
 from .estimation import ideal_rmsp, ideal_scgoma, rmsp, scgoma
-from .modularity import fuzzy_weighted_modularity, select_k
+from .modularity import ClassCountSweep, fuzzy_weighted_modularity, select_k
 from .metrics import (
     MembershipProfile,
     accuracy_rate,
@@ -51,7 +51,6 @@ from .metrics import (
 from .experiments import (
     GridRow,
     block_memberships,
-    class_count_sweep_spec,
     distribution_from_config,
     random_item_params,
     run_experiment,
@@ -63,6 +62,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Bernoulli",
     "Binomial",
+    "ClassCountSweep",
     "ConfigError",
     "DataFormatError",
     "DegenerateRankError",
@@ -89,7 +89,6 @@ __all__ = [
     "WgomError",
     "accuracy_rate",
     "block_memberships",
-    "class_count_sweep_spec",
     "construct_discrete",
     "data_sparsity",
     "distribution_from_config",

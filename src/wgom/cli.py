@@ -34,6 +34,7 @@ from .errors import (
 )
 from .experiments import (
     block_memberships,
+    check_addressable,
     config_value,
     default_item_params,
     distribution_from_config,
@@ -60,6 +61,8 @@ EXIT_NUMERICAL = 4
 _CONFIG_ERRORS = (ConfigError, DistributionRangeError, InfeasibleSchemeError)
 _DATA_ERRORS = (DataFormatError, DimensionError, OSError)
 _NUMERICAL_ERRORS = (DegenerateRankError, RankDeficiencyError)
+# The metric columns of an experiment's result file, after the family's value.
+_METRICS = ("mean_hamming_error", "mean_relative_error", "mean_runtime_seconds", "accuracy_rate")
 
 
 def _fail(code: int, message: str) -> int:
@@ -98,6 +101,7 @@ def _spec_from_config(config: dict) -> tuple[ModelSpec, int]:
     config = parse_config(config, "generate")
     distribution = distribution_from_config(config["distribution"])
     seed, n, j, k = config.get("seed", 0), config["n"], config["j"], config["k"]
+    check_addressable(n, j, k)
     rng = np.random.default_rng(seed)
     mixed = config.get("mixed_membership", "uniform")
 
@@ -171,13 +175,13 @@ def cmd_generate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    seed = config_value("seed", args.seed)
+    seed, k = config_value("seed", args.seed), config_value("k", args.k)
     values = _load_pruned_matrix(args)
     started = time.perf_counter()
     if args.method == "scgoma":
-        result = estimation.scgoma(values, args.k, seed=seed)
+        result = estimation.scgoma(values, k, seed=seed)
     else:
-        result = estimation.rmsp(values, args.k)
+        result = estimation.rmsp(values, k)
     elapsed = time.perf_counter() - started
 
     mixed_thr, pure_thr = args.thresholds
@@ -187,7 +191,7 @@ def cmd_estimate(args) -> int:
     summary = {
         "command": "estimate",
         "method": args.method,
-        "k": args.k,
+        "k": k,
         "seed": seed,
         "timing_seconds": elapsed,
         "pure_subject_rows": result.pure_index_set,
@@ -201,25 +205,19 @@ def cmd_estimate(args) -> int:
     out = _out_dir(args)
     matrix_io.write_dense_csv(out / "membership_hat.csv", result.membership_hat.rows)
     matrix_io.write_dense_csv(out / "item_params_hat.csv", result.item_params_hat)
-    if args.format == "json":
-        matrix_io.write_manifest(out / "summary.json", summary)
-    else:
-        with open(out / "summary.csv", "w") as fh:
-            keys = [k for k in summary if k not in ("command",)]
-            fh.write(",".join(keys) + "\n")
-            fh.write(",".join(json.dumps(summary[k]).replace(",", ";") for k in keys) + "\n")
-    print(f"estimated {args.k} classes with {args.method} in {elapsed:.3f}s -> {out}")
+    matrix_io.write_manifest(out / "summary.json", summary)
+    print(f"estimated {k} classes with {args.method} in {elapsed:.3f}s -> {out}")
     return 0
 
 
 def cmd_select_k(args) -> int:
-    seed = config_value("seed", args.seed)
+    seed, k_max = config_value("seed", args.seed), config_value("k_max", args.k_max)
     values = _load_pruned_matrix(args)
-    k_hat, curve = select_k(values, args.method, k_max=args.k_max, seed=seed)
+    k_hat, curve = select_k(values, args.method, k_max=k_max, seed=seed)
     payload = {
         "command": "select-k",
         "method": args.method,
-        "k_max": args.k_max,
+        "k_max": k_max,
         "k_hat": k_hat,
         "curve": [[k, q] for k, q in curve],
     }
@@ -239,7 +237,6 @@ def cmd_experiment(args) -> int:
     distribution = distribution_from_config(settings["distribution"])
     seed, replicates, k_max = settings.get("seed", 0), settings.get("replicates", 20), settings.get("k_max", 15)
 
-    out = _out_dir(args)
     manifest = {
         "command": "experiment",
         "seed": seed,
@@ -262,34 +259,19 @@ def cmd_experiment(args) -> int:
             threads=args.threads,
             **{key: settings[key] for key in ("n", "k", "rho", "sparsity", "mean_range") if key in settings},
         )
-        name = f"results_{method}.{'json' if args.format == 'json' else 'csv'}"
+        # After run_experiment has checked the grid and flags: a rejected run writes nothing.
+        out = _out_dir(args)
+        name = f"results_{method}.{args.format}"
         path = out / name
         if args.format == "json":
-            matrix_io.write_manifest(
-                path,
-                [
-                    {
-                        family: row.value,
-                        "mean_hamming_error": row.mean_hamming_error,
-                        "mean_relative_error": row.mean_relative_error,
-                        "mean_runtime_seconds": row.mean_runtime_seconds,
-                        "accuracy_rate": row.accuracy_rate,
-                    }
-                    for row in rows
-                ],
-            )
+            records = [{family: row.value, **{column: getattr(row, column) for column in _METRICS}} for row in rows]
+            matrix_io.write_manifest(path, records)
         else:
             with open(path, "w") as fh:
-                fh.write(
-                    f"{family},mean_hamming_error,mean_relative_error,"
-                    f"mean_runtime_seconds,accuracy_rate\n"
-                )
+                fh.write(",".join((family, *_METRICS)) + "\n")
                 for row in rows:
-                    fh.write(
-                        f"{row.value:g},{row.mean_hamming_error!r},"
-                        f"{row.mean_relative_error!r},{row.mean_runtime_seconds!r},"
-                        f"{row.accuracy_rate!r}\n"
-                    )
+                    cells = [f"{row.value:g}", *(repr(getattr(row, column)) for column in _METRICS)]
+                    fh.write(",".join(cells) + "\n")
         manifest["files"].append(name)
         manifest["errors"].extend(
             {"method": method, family: row.value, "error": row.error}
@@ -328,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--method", choices=("scgoma", "rmsp"), default="scgoma")
     est.add_argument("--seed", type=int, default=0, help="seed for the randomized SVD path")
     est.add_argument("--out", default="wgom-out")
-    est.add_argument("--format", choices=("json", "csv"), default="json", help="summary format")
     est.add_argument(
         "--thresholds",
         type=_thresholds,

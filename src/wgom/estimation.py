@@ -40,7 +40,8 @@ def _normalize_clamped(z: np.ndarray, k: int, method: str) -> np.ndarray:
         if k > 1:
             # At k = 1 the fallback is the only possible membership anyway.
             # stacklevel 5 skips _simplex_memberships, the per-k fit and its
-            # caller (scgoma, rmsp or select_k's sweep) to reach user code.
+            # caller (scgoma, rmsp or a sweep's fitter) to reach user code
+            # or ClassCountSweep.fit.
             warnings.warn(
                 f"{method}: {n_dead} subject rows clamped to zero; assigned "
                 f"uniform membership 1/{k}",

@@ -23,16 +23,15 @@ from typing import Optional
 
 import numpy as np
 
-from . import estimation
 from .errors import ConfigError, InfeasibleSchemeError, WgomError
 from .metrics import accuracy_rate, hamming_error, relative_error
-from .modularity import select_k
+from .modularity import ClassCountSweep
 from .sampling import DISTRIBUTIONS, GeneralDiscrete, sample_response
 from .types import ItemParams, MembershipMatrix, ModelSpec
 
-# Every top-level key of a ``generate`` or ``experiment`` config: the subcommands
-# that accept and require it, and its kind (None: checked where it is used): a whole
-# number (int) >= least, a finite real (float) in (least, most], a non-empty str or list.
+# Every top-level key of a ``generate`` or ``experiment`` config, and ``threads``, which no config takes: the
+# subcommands that accept and require it, and its kind (None: checked where it is used): a whole number (int)
+# >= least, a finite real (float) in (least, most], a finite pair (tuple) lo < hi, a non-empty str or list.
 ConfigKey = namedtuple("ConfigKey", "commands required kind least most", defaults=((), None, 0, math.inf))
 GENERATE, EXPERIMENT, BOTH = ("generate",), ("experiment",), ("generate", "experiment")
 CONFIG_KEYS = {
@@ -46,16 +45,25 @@ CONFIG_KEYS = {
     "k_max": ConfigKey(EXPERIMENT, (), int, 1),
     "rho": ConfigKey(BOTH, (), float),
     "sparsity": ConfigKey(BOTH, (), float, 0, 1),
-    "mean_range": ConfigKey(BOTH),
+    "mean_range": ConfigKey(BOTH, (), tuple),
     "mixed_membership": ConfigKey(GENERATE),
     "membership_file": ConfigKey(GENERATE, (), str),
     "item_params_file": ConfigKey(GENERATE, (), str),
     "family": ConfigKey(EXPERIMENT, EXPERIMENT),
     "values": ConfigKey(EXPERIMENT, EXPERIMENT, list),
     "methods": ConfigKey(EXPERIMENT, (), list),
+    "threads": ConfigKey((), (), int, 1),
 }
 # The config key each experiment family sweeps.
 FAMILY_KEYS = {"rho": "rho", "n": "n", "k": "k", "p": "sparsity"}
+
+
+def _real(value) -> float:
+    """A Python or numpy real as a float; NaN for a bool, str, None or an int beyond float range."""
+    try:
+        return float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:
+        return math.nan
 
 
 def config_value(key: str, value):
@@ -67,11 +75,13 @@ def config_value(key: str, value):
         if isinstance(value, kind) and value:
             return value
         rule = f"a non-empty {kind.__name__}"
+    elif kind is tuple:
+        pair = tuple(_real(bound) for bound in value) if isinstance(value, (list, tuple)) else ()
+        if len(pair) == 2 and all(map(math.isfinite, pair)) and pair[0] < pair[1]:
+            return pair
+        rule = "a pair of finite numbers lo < hi"
     else:
-        try:
-            number = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
-        except OverflowError:
-            number = math.nan
+        number = _real(value)
         if kind is int and number.is_integer() and number >= least:
             return int(value)
         if kind is float and math.isfinite(number) and least < number <= most:
@@ -144,17 +154,11 @@ def unallocatable(n: int, j: int) -> ConfigError:
     return ConfigError(f"cannot allocate the {n} x {j} (N x J) model the config declares")
 
 
-def _mean_range_pair(mean_range) -> Optional[tuple]:
-    """``mean_range`` as a float pair (lo, hi) with lo < hi, or None; else ``ConfigError``."""
-    if mean_range is None:
-        return None
-    try:
-        lo, hi = (float(bound) for bound in mean_range)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"mean_range must be a pair of numbers, got {mean_range!r}") from exc
-    if not lo < hi:
-        raise ConfigError(f"mean_range must satisfy lo < hi, got ({lo}, {hi})")
-    return lo, hi
+def check_addressable(n: int, j: int, k: int) -> None:
+    """``unallocatable`` unless numpy can address the model's float arrays of
+    N x J, N x K and J x K entries, whatever memory the machine has."""
+    if max(n * j, n * k, j * k) * np.dtype(float).itemsize > np.iinfo(np.intp).max:
+        raise unallocatable(n, j)
 
 
 def random_item_params(
@@ -173,9 +177,8 @@ def random_item_params(
     (useful for finite-support distributions whose admissible interval does
     not start at zero); ``rho`` is ignored in that mode.
     """
-    mean_range = _mean_range_pair(mean_range)
     if mean_range is not None:
-        lo, hi = mean_range
+        lo, hi = config_value("mean_range", mean_range)
         values = lo + (hi - lo) * rng.random((n_items, k))
         return ItemParams(values)
     rho = config_value("rho", rho)
@@ -225,11 +228,6 @@ def simulation_spec(
 def _class_count_geometry(k: int) -> dict:
     """Geometry for varying the class count: N = 100k, J = 50k, 80 pure each."""
     return {"n": 100 * k, "j": 50 * k, "k": k, "n_pure": 80}
-
-
-def class_count_sweep_spec(distribution, k: int, rho: float, rng, *, sparsity: float = 1.0) -> ModelSpec:
-    """Model spec at the class-count sweep geometry (see ``_class_count_geometry``)."""
-    return simulation_spec(distribution, rho=rho, rng=rng, sparsity=sparsity, **_class_count_geometry(k))
 
 
 def distribution_from_config(config: dict):
@@ -289,19 +287,20 @@ def run_experiment(
     Every grid point runs ``replicates`` independent draws: sample a response
     matrix R, estimate at the true class count k, score the permutation-
     matched errors, and select the class count by modularity for the accuracy
-    rate.  A replicate decomposes R once: one ``estimation.sweep_fitter`` up
-    to max(k, k_max') with k_max' = min(k_max, N, J) gives the true-k estimate
-    and every fit ``select_k`` scores.  ``mean_runtime_seconds`` times that
-    decomposition plus the true-k fit: one SVD and one fit for ``"scgoma"``,
-    as in ``scgoma(R, k)``; for ``"rmsp"`` a vertex search to max(k, k_max')
-    picks, longer than the k picks of ``rmsp(R, k)``.  The estimate equals
-    ``scgoma(R, k)`` / ``rmsp(R, k)`` exactly whenever max(k, k_max') <= 15.
-    Above that ``"scgoma"`` fits k from the sweep's decomposition, which
-    differs from its own where ``scgoma(R, k)`` takes the randomized SVD path
-    (see ``estimation.sweep_fitter``).
+    rate.  A replicate decomposes R once: one ``ClassCountSweep`` up to
+    max(k, k_max') with k_max' = min(k_max, N, J) gives the true-k estimate
+    and every fit its ``select(k_max')`` scores.  ``mean_runtime_seconds``
+    times that decomposition plus the true-k fit: one SVD and one fit for
+    ``"scgoma"``, as in ``scgoma(R, k)``; for ``"rmsp"`` a vertex search to
+    max(k, k_max') picks, longer than the k picks of ``rmsp(R, k)``.  The
+    estimate equals ``scgoma(R, k)`` / ``rmsp(R, k)`` exactly whenever
+    max(k, k_max') <= 15.  Above that ``"scgoma"`` fits k from the sweep's
+    decomposition, which differs from its own where ``scgoma(R, k)`` takes
+    the randomized SVD path (see ``ClassCountSweep``).
 
-    Every numeric argument and grid value passes ``config_value`` (``ConfigError``)
-    before any replicate runs; the ``"k"`` family samples at ``_class_count_geometry``.
+    Every numeric argument and grid value passes ``config_value`` (``ConfigError``),
+    and every grid point ``check_addressable``, before any replicate runs; the
+    ``"k"`` family samples at ``_class_count_geometry``.
     A config fault found inside a replicate (a ``ConfigError`` such as too many
     pure subjects for n, a model too large to allocate or draws that overflow, or the
     ``InfeasibleSchemeError`` of a discrete scheme that admits no mean) is
@@ -313,14 +312,17 @@ def run_experiment(
     family = normalize_family(family)
     if method not in ("scgoma", "rmsp"):
         raise ConfigError(f"unknown method {method!r}")
-    mean_range = _mean_range_pair(mean_range)
+    mean_range = None if mean_range is None else config_value("mean_range", mean_range)
 
     seed, replicates, k_max = (config_value(*item) for item in (("seed", seed), ("replicates", replicates), ("k_max", k_max)))
+    threads = config_value("threads", threads)
     base = {key: config_value(key, number) for key, number in (("n", n), ("k", k), ("rho", rho), ("sparsity", sparsity))}
     key = FAMILY_KEYS[family]
     points = [(value, {**base, key: config_value(key, value)}) for value in values]
     if family == "k":
         points = [(value, {**params, **_class_count_geometry(params["k"])}) for value, params in points]
+    for _, params in points:
+        check_addressable(params["n"], params.get("j", params["n"] // 2), params["k"])
     rows = []
     for value, params in points:
 
@@ -330,12 +332,12 @@ def run_experiment(
             responses, _ = sample_response(spec, rng)
             k, k_sweep = params["k"], min(k_max, min(responses.values.shape))
             started = time.perf_counter()
-            fit = estimation.sweep_fitter(responses, method, max(k_sweep, k))
-            result = fit(k)
+            sweep = ClassCountSweep(responses, method, max(k_sweep, k))
+            result = sweep.fit(k)
             elapsed = time.perf_counter() - started
             ham = hamming_error(result.membership_hat, spec.membership)
             rel = relative_error(result.item_params_hat, spec.item_params.values)
-            k_hat, _ = select_k(responses, lambda _, kk: result if kk == k else fit(kk), k_max=k_sweep)
+            k_hat, _ = sweep.select(k_sweep)
             return ham, rel, elapsed, k_hat
 
         try:

@@ -19,11 +19,13 @@ peaks at 13.5 MB under tracemalloc.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import estimation
 from .errors import DegenerateRankError, DimensionError, RankDeficiencyError, WgomError
-from .types import membership_array, response_array
+from .types import EstimationResult, membership_array, response_array
 
 # Byte budget of one row block of A = RR' in the mixed-sign pass.
 BLOCK_BYTES = 4 * 2**20
@@ -88,45 +90,60 @@ def fuzzy_weighted_modularity(responses, membership) -> float:
     return _scores(response_array(responses), [membership])[0]
 
 
-def select_k(
-    responses,
-    estimator="scgoma",
-    k_max: int = 15,
-    *,
-    seed: int = 0,
-) -> tuple[int, list]:
-    """Pick the class count whose estimated memberships maximize modularity.
-
-    Fits ``estimator`` for every k in 1..k_max, scores each membership matrix,
-    and returns ``(k_hat, curve)`` where ``curve`` lists the successful
-    ``(k, modularity)`` pairs in order.  Estimator failures at a given k are
-    skipped (that k is absent from the curve).  Ties go to the smallest k.
-    All fits run first; their memberships are then scored together.
-    Mixed-sign R is scored in one pass over the upper triangle of A = RR' in
-    row blocks that form only A+ (A- = A+ - A is never formed); single-sign
-    R never forms A.
+class ClassCountSweep:
+    """The fits of a class-count sweep over k = 1..k_max, each computed once on
+    first use, and the k among them whose memberships maximize modularity.
 
     ``estimator`` is ``"scgoma"``, ``"rmsp"``, or any callable
-    ``(responses, k) -> EstimationResult``.  The built-in estimators share one
-    decomposition across the sweep (see ``estimation.sweep_fitter``):
+    ``(responses, k) -> EstimationResult``, which is called once per k.  The
+    constructor checks R (``DimensionError`` if k_max lies outside
+    [1, min(N, J)]) and decomposes it once for the built-in estimators:
     ``"scgoma"`` fits every k from one top-k_max SVD seeded with ``seed`` and
     ``"rmsp"`` from one k_max-pick successive-projection pass.  Each fit then
-    equals the single-k ``scgoma``/``rmsp`` fit exactly.  The one exception
-    is ``"scgoma"`` with k_max > 15 where a single fit takes the randomized
-    SVD path: the sweep's decomposition (k_max + 10 sketch columns, or dense)
-    is not the single fit's 25-column sketch.
+    equals the single-k ``scgoma``/``rmsp`` fit exactly, except ``"scgoma"``
+    with k_max > 15 where a single fit takes the randomized SVD path (see
+    ``estimation.sweep_fitter``).
     """
-    r = response_array(responses)
-    fit = estimation.sweep_fitter(r, estimator, k_max, seed=seed)
 
-    fitted = {}
-    for k in range(1, k_max + 1):
-        try:
-            fitted[k] = fit(k).membership_hat
-        except (DegenerateRankError, RankDeficiencyError, DimensionError):
-            continue
-    if not fitted:
-        raise WgomError(f"estimation failed for every k in 1..{k_max}")
-    curve = list(zip(fitted, _scores(r, fitted.values())))
-    best_k, _ = max(curve, key=lambda point: (point[1], -point[0]))
-    return best_k, curve
+    def __init__(self, responses, estimator="scgoma", k_max: int = 15, *, seed: int = 0):
+        self.responses = response_array(responses)
+        self.k_max = k_max
+        self._fits = functools.cache(estimation.sweep_fitter(self.responses, estimator, k_max, seed=seed))
+
+    def fit(self, k: int) -> EstimationResult:
+        """The estimate at k; raises what the estimator raises, or ``DimensionError`` outside [1, k_max]."""
+        if not 1 <= k <= self.k_max:
+            raise DimensionError(f"k={k} outside [1, {self.k_max}], the sweep's k_max")
+        return self._fits(k)
+
+    def select(self, k_max=None) -> tuple[int, list]:
+        """Fit every k in 1..k_max (default: the sweep's), score each membership
+        matrix, and return ``(k_hat, curve)`` where ``curve`` lists the
+        successful ``(k, modularity)`` pairs in order.  Estimator failures at a
+        given k are skipped (that k is absent from the curve).  Ties go to the
+        smallest k.  The memberships are scored together, in the one pass over
+        R the module docstring describes.
+
+        Raises ``DimensionError`` if k_max lies outside [1, the sweep's k_max]
+        and ``WgomError`` if the estimator fails at every k.
+        """
+        k_max = self.k_max if k_max is None else k_max
+        if not 1 <= k_max <= self.k_max:
+            raise DimensionError(f"k_max={k_max} outside [1, {self.k_max}], the sweep's k_max")
+        fitted = {}
+        for k in range(1, k_max + 1):
+            try:
+                fitted[k] = self.fit(k).membership_hat
+            except (DegenerateRankError, RankDeficiencyError, DimensionError):
+                continue
+        if not fitted:
+            raise WgomError(f"estimation failed for every k in 1..{k_max}")
+        curve = list(zip(fitted, _scores(self.responses, fitted.values())))
+        best_k, _ = max(curve, key=lambda point: (point[1], -point[0]))
+        return best_k, curve
+
+
+def select_k(responses, estimator="scgoma", k_max: int = 15, *, seed: int = 0) -> tuple[int, list]:
+    """Pick the class count in 1..k_max whose estimated memberships maximize
+    modularity: ``(k_hat, curve)`` as ``ClassCountSweep.select`` gives it."""
+    return ClassCountSweep(responses, estimator, k_max, seed=seed).select()

@@ -166,6 +166,32 @@ def test_experiment_csv_columns_and_determinism(tmp_path):
     assert manifest["files"] == ["results_scgoma.csv"]
 
 
+def test_experiment_json_rows_equal_csv_rows(tmp_path):
+    config = {
+        "family": "n", "values": [4, 60], "distribution": {"name": "binomial", "m": 5},
+        "replicates": 2, "seed": 3, "k_max": 4, "methods": ["scgoma", "rmsp"],
+    }
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(config))
+    for fmt in ("csv", "json"):
+        assert main(["experiment", str(path), "--out", str(tmp_path / fmt), "--format", fmt]) == 0
+    for method in ("scgoma", "rmsp"):
+        lines = (tmp_path / "csv" / f"results_{method}.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        csv_rows = [dict(zip(header, map(float, line.split(",")))) for line in lines[1:]]
+        json_rows = json.loads((tmp_path / "json" / f"results_{method}.json").read_text())
+        assert [sorted(row) for row in json_rows] == [sorted(header)] * 2
+        # n = 4 leaves 2 items for 3 classes: an error row of NaN metrics in both.
+        for csv_row, json_row in zip(csv_rows, json_rows):
+            timings = csv_row.pop("mean_runtime_seconds"), json_row.pop("mean_runtime_seconds")
+            assert all(np.isnan(timings)) or all(t > 0 for t in timings)
+            np.testing.assert_equal(json_row, csv_row)
+        assert np.isnan(json_rows[0]["mean_hamming_error"]) and json_rows[1]["mean_hamming_error"] >= 0
+    manifests = [json.loads((tmp_path / fmt / "manifest.json").read_text()) for fmt in ("csv", "json")]
+    assert manifests[0]["errors"] == manifests[1]["errors"] != []
+    assert manifests[1]["files"] == ["results_scgoma.json", "results_rmsp.json"]
+
+
 def test_generate_large_block_geometry(tmp_path):
     # 800 subjects, 400 items, 200 pure subjects per class, randomized mixed
     # rows: the geometry of the oracle-recovery acceptance run.
@@ -377,6 +403,28 @@ def test_exit_code_config_error(tmp_path, capsys):
     ):
         experiment.write_text(json.dumps({**sweep, **extra}))
         assert main(["experiment", str(experiment), "--out", str(tmp_path / "o")]) == 2
+    # Whole numbers beyond any array numpy can address end in one error line.
+    for command, config in (
+        ("generate", {**base, "n": 1e18}),
+        ("generate", {**base, "n": 1e300}),
+        ("generate", {**base, "j": 1e300}),
+        ("experiment", {**sweep, "n": 1e300}),
+        ("experiment", {**sweep, "family": "k", "values": [1e300]}),
+    ):
+        experiment.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert main([command, str(experiment), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+    experiment.write_text(json.dumps(sweep))
+    for threads in ("0", "-2"):
+        assert main(["experiment", str(experiment), "--out", str(tmp_path / "t"), "--threads", threads]) == 2
+    assert not (tmp_path / "t").exists()
+    matrix = tmp_path / "m.csv"
+    write_dense_csv(matrix, np.random.default_rng(0).random((20, 10)))
+    for value in ("0", "-3"):
+        assert main(["estimate", str(matrix), "--k", value, "--out", str(tmp_path / "o")]) == 2
+        assert main(["select-k", str(matrix), "--k-max", value]) == 2
     for command in ("generate", "experiment"):
         for config in ("5", "null", "[1]", '"n"'):
             experiment.write_text(config)
@@ -411,6 +459,7 @@ def test_exit_code_data_error(tmp_path):
     small = tmp_path / "small.csv"
     write_dense_csv(small, np.eye(3))
     assert main(["estimate", str(small), "--k", "5", "--out", str(tmp_path / "o")]) == 3
+    assert main(["select-k", str(small), "--k-max", "5"]) == 3
     # A header whose dense array cannot be allocated, with no entries to read.
     huge = tmp_path / "huge.txt"
     huge.write_text("10000000 10000000 0\n")

@@ -31,7 +31,7 @@ from wgom import (
     vertex_hunting,
 )
 from wgom.experiments import (
-    class_count_sweep_spec,
+    _class_count_geometry,
     config_value,
     normalize_family,
     parse_config,
@@ -100,7 +100,7 @@ def test_simulation_spec_targets_discrete_interval():
 
 def test_class_count_sweep_geometry():
     rng = np.random.default_rng(4)
-    spec = class_count_sweep_spec(Uniform(), 4, 1.0, rng)
+    spec = simulation_spec(Uniform(), rho=1.0, rng=rng, **_class_count_geometry(4))
     assert spec.n_subjects == 400 and spec.n_items == 200
     assert (spec.membership.rows[:80, 0] == 1.0).all()
 
@@ -281,6 +281,7 @@ def test_run_experiment_checks_the_whole_grid_before_any_replicate(monkeypatch):
         {"family": "k", "values": [2.5]},
         {"values": ["0.6"]},
         {"replicates": True}, {"n": 40.5}, {"rho": float("inf")}, {"rho": -1.0}, {"sparsity": 2.0},
+        {"threads": 0}, {"n": 1e300}, {"family": "k", "values": [2, 1e300]}, {"mean_range": (1.0, float("inf"))},
     ):
         kwargs = {"family": "rho", "values": [1.0], **kwargs}
         with pytest.raises(ConfigError):

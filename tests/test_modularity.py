@@ -5,10 +5,13 @@ import pytest
 
 from wgom import (
     Binomial,
+    ClassCountSweep,
     DimensionError,
     Normal,
     WgomError,
+    estimation,
     fuzzy_weighted_modularity,
+    linalg,
     modularity,
     sample_response,
     scgoma,
@@ -189,3 +192,52 @@ def test_select_k_validates_k_max():
 def test_select_k_all_failures_raise():
     with pytest.raises(WgomError):
         select_k(np.zeros((6, 5)), "scgoma", k_max=3)
+
+
+# ClassCountSweep
+# ---------------------------------------------------------------------------
+
+
+def _binomial_responses(n):
+    rng = np.random.default_rng(10)
+    spec = simulation_spec(Binomial(m=5), n=n, rho=2.0, rng=rng)
+    return sample_response(spec, rng)[0].values
+
+
+@pytest.mark.filterwarnings("ignore:.*clamped to zero:RuntimeWarning")
+def test_sweep_fit_then_select_fits_each_k_once(monkeypatch):
+    decompositions, fits = [], []
+    for modules, name, calls in (((linalg, estimation), "_decompose", decompositions), ((estimation,), "_scgoma_fit", fits)):
+        for module in modules:
+
+            def wrapper(*args, _original=getattr(module, name), _calls=calls, **kwargs):
+                _calls.append(args)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+    sweep = ClassCountSweep(_binomial_responses(120), "scgoma", 6)
+    result = sweep.fit(3)
+    k_hat, curve = sweep.select()
+    assert len(decompositions) == 1 and len(fits) == 6
+    assert sweep.fit(3) is result and len(fits) == 6
+    assert k_hat == 3 and [k for k, _ in curve] == list(range(1, 7))
+
+
+@pytest.mark.filterwarnings("ignore:.*clamped to zero:RuntimeWarning")
+@pytest.mark.parametrize("method", ["scgoma", "rmsp"])
+def test_sweep_select_over_a_prefix_equals_select_k(method):
+    # Min side 100 > 50: the randomized SVD path, one 25-column sketch for every k <= 15.
+    r = _binomial_responses(200)
+    sweep = ClassCountSweep(r, method, 15)
+    for k_max in range(1, 15):
+        assert sweep.select(k_max) == select_k(r, method, k_max)
+    assert sweep.select() == select_k(r, method, 15)
+
+
+def test_sweep_select_validates_k_max():
+    sweep = ClassCountSweep(_binomial_responses(120), "rmsp", 15)
+    for k_max in (0, 16):
+        with pytest.raises(DimensionError):
+            sweep.select(k_max)
+        with pytest.raises(DimensionError):
+            sweep.fit(k_max)
