@@ -196,6 +196,7 @@ def cmd_estimate(args) -> int:
         "timing_seconds": elapsed,
         "pure_subject_rows": result.pure_index_set,
         "singular_values": [float(s) for s in result.singular_values],
+        "n_clamped_rows": result.n_clamped_rows,
         "data_sparsity": data_sparsity(values),
         "omega_mixed": profile.omega_mixed,
         "omega_pure": profile.omega_pure,
@@ -315,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_thresholds,
         default=(0.6, 0.9),
         metavar="MIXED,PURE",
-        help="profiling thresholds (default 0.6,0.9)",
+        help="profiling thresholds, 0 <= MIXED < PURE <= 1 (default 0.6,0.9)",
     )
     est.add_argument(
         "--prune",

@@ -7,13 +7,13 @@ rank-K reconstruction; ``rmsp`` uses R for both.  The oracle variants
 ``ideal_scgoma`` / ``ideal_rmsp`` check that a noiseless expected matrix has
 rank exactly K and then run the matching estimator, which recovers it exactly.
 
-``sweep_fitter`` fits every K of a class-count sweep from one decomposition:
-one top-K_max SVD for ``scgoma``, one K_max-pick vertex search for ``rmsp``.
+``_sweep_fitter`` fits every K of a class-count sweep on an already checked R
+from one decomposition: one top-K_max SVD for ``scgoma``, one K_max-pick
+vertex search for ``rmsp``.  ``modularity.ClassCountSweep`` is its caller.
 """
 
 from __future__ import annotations
 
-import warnings
 from functools import partial
 
 import numpy as np
@@ -27,31 +27,15 @@ IDEAL_RANK_RTOL = 1e-10
 IDEAL_EXTRA_RANK_RTOL = 1e-8
 
 
-def _normalize_clamped(z: np.ndarray, k: int, method: str) -> np.ndarray:
-    """Row-normalize a clamped weight matrix, patching all-zero rows.
+def _normalize_clamped(z: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+    """Row-normalize a clamped weight matrix, patching all-zero rows in place.
 
     A row that clamps to zero carries no simplex information; it gets the
-    uniform membership 1/k.  Patched rows are reported via a warning.
+    uniform membership 1/k.  Returns (pi, number of patched rows).
     """
-    sums = z.sum(axis=1)
-    dead = sums <= 0.0
-    n_dead = int(dead.sum())
-    if n_dead:
-        if k > 1:
-            # At k = 1 the fallback is the only possible membership anyway.
-            # stacklevel 5 skips _simplex_memberships, the per-k fit and its
-            # caller (scgoma, rmsp or a sweep's fitter) to reach user code
-            # or ClassCountSweep.fit.
-            warnings.warn(
-                f"{method}: {n_dead} subject rows clamped to zero; assigned "
-                f"uniform membership 1/{k}",
-                RuntimeWarning,
-                stacklevel=5,
-            )
-        z = z.copy()
-        z[dead] = 1.0 / k
-        sums = z.sum(axis=1)
-    return z / sums[:, None]
+    dead = z.sum(axis=1) <= 0.0
+    z[dead] = 1.0 / k
+    return z / z.sum(axis=1)[:, None], int(dead.sum())
 
 
 def _check_exact_rank(matrix: np.ndarray, k: int) -> None:
@@ -69,13 +53,14 @@ def _check_exact_rank(matrix: np.ndarray, k: int) -> None:
         )
 
 
-def _simplex_memberships(x: np.ndarray, vertices: VertexIndexSet, method: str):
+def _simplex_memberships(x: np.ndarray, vertices: VertexIndexSet):
     """Z = max(0, x C' (C C')^-1) for the corners C = x[vertices], row-normalized.
-    Returns (pi, C)."""
+    Returns (pi, number of rows that clamped to zero, C)."""
     corners = x[vertices.indices]
     gram_inv, _ = solve_small_inverse(corners @ corners.T)
     z = np.maximum(0.0, x @ corners.T @ gram_inv)
-    return _normalize_clamped(z, len(vertices), method), corners
+    pi, n_clamped = _normalize_clamped(z, len(vertices))
+    return pi, n_clamped, corners
 
 
 def _item_regression(target_t_pi: np.ndarray, pi: np.ndarray) -> np.ndarray:
@@ -102,8 +87,9 @@ def scgoma(responses, k: int, *, seed: int = 0) -> EstimationResult:
 
     Steps: top-k SVD of R; vertex search on the rows of the left factor U;
     clamped simplex weights Z = max(0, U C' (C C')^-1) for the corner rows
-    C = U[I]; row normalization (rows that clamp to all-zero become uniform);
-    item parameters regressed against the rank-k reconstruction.
+    C = U[I]; row normalization (rows that clamp to all-zero become uniform,
+    and the result's ``n_clamped_rows`` counts them); item parameters
+    regressed against the rank-k reconstruction.
 
     ``seed`` feeds the randomized SVD path, taken when min(N, J) > 50 for
     k <= 15 (see ``linalg.top_k_svd``).
@@ -126,7 +112,7 @@ def scgoma(responses, k: int, *, seed: int = 0) -> EstimationResult:
 
 def _scgoma_fit(r: np.ndarray, svd: TruncatedSVD) -> EstimationResult:
     vertices = successive_projection(svd.left, svd.k)
-    pi, _ = _simplex_memberships(svd.left, vertices, "scgoma")
+    pi, n_clamped, _ = _simplex_memberships(svd.left, vertices)
     # Rank-k reconstruction target, never materialized: Rhat' Pi = V Sigma (U' Pi).
     theta = _item_regression((svd.right * svd.singulars) @ (svd.left.T @ pi), pi)
     return EstimationResult(
@@ -134,6 +120,7 @@ def _scgoma_fit(r: np.ndarray, svd: TruncatedSVD) -> EstimationResult:
         item_params_hat=theta,
         pure_index_set=vertices.indices.tolist(),
         singular_values=svd.singulars,
+        n_clamped_rows=n_clamped,
     )
 
 
@@ -157,18 +144,20 @@ def rmsp(responses, k: int) -> EstimationResult:
 
 
 def _rmsp_fit(r: np.ndarray, vertices: VertexIndexSet) -> EstimationResult:
-    pi, corners = _simplex_memberships(r, vertices, "rmsp")
+    pi, n_clamped, corners = _simplex_memberships(r, vertices)
     theta = _item_regression(r.T @ pi, pi)
     return EstimationResult(
         membership_hat=MembershipMatrix(pi),
         item_params_hat=theta,
         pure_index_set=vertices.indices.tolist(),
         singular_values=np.linalg.svd(corners, compute_uv=False),
+        n_clamped_rows=n_clamped,
     )
 
 
-def sweep_fitter(responses, estimator, k_max: int, *, seed: int = 0):
-    """The per-k fit of a class-count sweep over k = 1..k_max.
+def _sweep_fitter(r: np.ndarray, estimator, k_max: int, *, seed: int = 0):
+    """The per-k fit of a class-count sweep over k = 1..k_max on the checked
+    response array ``r`` (as ``response_array`` returns it).
 
     Returns ``fit(k) -> EstimationResult``, which raises what the estimator
     raises at k.  ``estimator`` is ``"scgoma"``, ``"rmsp"`` or a callable
@@ -188,7 +177,6 @@ def sweep_fitter(responses, estimator, k_max: int, *, seed: int = 0):
 
     Raises ``DimensionError`` if k_max lies outside [1, min(N, J)].
     """
-    r = response_array(responses)
     if not 1 <= k_max <= min(r.shape):
         raise DimensionError(f"k={k_max} outside [1, min(N, J)] = [1, {min(r.shape)}]")
     if callable(estimator):

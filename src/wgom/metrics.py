@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataFormatError, DimensionError
+from .errors import ConfigError, DataFormatError, DimensionError
 from .types import _checked_matrix, membership_array, response_array
 
 
@@ -86,7 +86,12 @@ def profile_memberships(
     ``mixed_threshold`` (highly mixed).  ``omega_pure``: fraction whose
     largest weight is at least ``pure_threshold`` (highly pure).  ``eta``:
     smallest column sum over largest column sum, a class balance in (0, 1].
+    Raises ``ConfigError`` unless 0 <= mixed < pure <= 1, which nan fails.
     """
+    if not 0.0 <= mixed_threshold < pure_threshold <= 1.0:
+        raise ConfigError(
+            f"thresholds need 0 <= mixed < pure <= 1, got {mixed_threshold}, {pure_threshold}"
+        )
     pi = membership_array(pi_hat)
     row_max = pi.max(axis=1)
     omega_mixed = float((row_max <= mixed_threshold).mean())

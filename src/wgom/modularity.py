@@ -102,13 +102,14 @@ class ClassCountSweep:
     ``"rmsp"`` from one k_max-pick successive-projection pass.  Each fit then
     equals the single-k ``scgoma``/``rmsp`` fit exactly, except ``"scgoma"``
     with k_max > 15 where a single fit takes the randomized SVD path (see
-    ``estimation.sweep_fitter``).
+    ``estimation._sweep_fitter``).  At a k far from the true class count a
+    fit's ``n_clamped_rows`` is often nonzero; that is data, not a fault.
     """
 
     def __init__(self, responses, estimator="scgoma", k_max: int = 15, *, seed: int = 0):
         self.responses = response_array(responses)
         self.k_max = k_max
-        self._fits = functools.cache(estimation.sweep_fitter(self.responses, estimator, k_max, seed=seed))
+        self._fits = functools.cache(estimation._sweep_fitter(self.responses, estimator, k_max, seed=seed))
 
     def fit(self, k: int) -> EstimationResult:
         """The estimate at k; raises what the estimator raises, or ``DimensionError`` outside [1, k_max]."""

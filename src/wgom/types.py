@@ -93,22 +93,20 @@ class MembershipMatrix:
 class ItemParams:
     """Item parameters Theta (J x K) together with the scaling factor.
 
-    ``scale`` is the max-absolute-entry factor: Theta = scale * B with
-    max|B| = 1.  When not supplied it is computed from ``values``.
+    ``scale`` is the max-absolute-entry factor max|Theta|, so Theta = scale * B
+    with max|B| = 1; it is computed from ``values``.
     """
 
     values: np.ndarray
-    scale: Optional[float] = None  # always a float after construction
+    scale: float = field(init=False)
 
     def __post_init__(self):
         arr = _frozen_copy(self.values, "item parameter matrix")
         object.__setattr__(self, "values", arr)
-        scale = self.scale
-        if scale is None:
-            scale = float(np.abs(arr).max())
+        scale = float(np.abs(arr).max())
         if not (scale > 0):
             raise ConfigError("item parameter scale must be positive (all-zero matrix?)")
-        object.__setattr__(self, "scale", float(scale))
+        object.__setattr__(self, "scale", scale)
 
     @property
     def n_items(self) -> int:
@@ -174,13 +172,15 @@ class EstimationResult:
     ``singular_values`` holds the K singular values of the rank-K system the
     estimator inverted: the top-K singular values of R for the SVD-based
     estimator, the singular values of the selected vertex rows R[I] for the
-    raw-row estimator.
+    raw-row estimator.  ``n_clamped_rows`` counts the subjects whose simplex
+    weights all clamped to zero; each of them got the uniform membership 1/K.
     """
 
     membership_hat: MembershipMatrix
     item_params_hat: np.ndarray
     pure_index_set: list = field(default_factory=list)
     singular_values: Optional[np.ndarray] = None
+    n_clamped_rows: int = 0
 
 
 def membership_array(membership) -> np.ndarray:

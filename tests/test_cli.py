@@ -85,6 +85,7 @@ def test_estimate_outputs_and_determinism(generated, tmp_path):
     assert summary["method"] == "scgoma"
     assert len(summary["pure_subject_rows"]) == 3
     assert len(summary["singular_values"]) == 3
+    assert summary["n_clamped_rows"] == 0
     assert 0.0 <= summary["omega_mixed"] <= 1.0
     assert summary["timing_seconds"] > 0
     pi_hat = read_dense_csv(est1 / "membership_hat.csv")
@@ -425,6 +426,11 @@ def test_exit_code_config_error(tmp_path, capsys):
     for value in ("0", "-3"):
         assert main(["estimate", str(matrix), "--k", value, "--out", str(tmp_path / "o")]) == 2
         assert main(["select-k", str(matrix), "--k-max", value]) == 2
+    # Profiling thresholds must satisfy 0 <= mixed < pure <= 1.
+    for thresholds in ("nan,0.9", "inf,inf", "0.9,0.6"):
+        out = str(tmp_path / "thr")
+        assert main(["estimate", str(matrix), "--k", "2", "--thresholds", thresholds, "--out", out]) == 2
+    assert not (tmp_path / "thr").exists()
     for command in ("generate", "experiment"):
         for config in ("5", "null", "[1]", '"n"'):
             experiment.write_text(config)

@@ -4,11 +4,13 @@ import pytest
 from wgom import (
     Bernoulli,
     Binomial,
+    ClassCountSweep,
     DegenerateRankError,
     DimensionError,
     ItemParams,
     MembershipMatrix,
     ModelSpec,
+    Normal,
     RankDeficiencyError,
     hamming_error,
     ideal_rmsp,
@@ -20,6 +22,7 @@ from wgom import (
     simulation_spec,
 )
 from wgom.estimation import _normalize_clamped
+from wgom.linalg import top_k_svd
 
 from helpers import block_pi, brute_hamming
 
@@ -167,10 +170,24 @@ def test_rmsp_not_better_than_scgoma_at_low_scale():
 
 def test_zero_row_fallback_gets_uniform_membership():
     z = np.array([[1.0, 1.0, 2.0], [0.0, 0.0, 0.0]])
-    with pytest.warns(RuntimeWarning, match="clamped to zero"):
-        pi = _normalize_clamped(z, 3, "scgoma")
+    pi, n_clamped = _normalize_clamped(z, 3)
+    assert n_clamped == 1
     assert np.allclose(pi[1], [1 / 3, 1 / 3, 1 / 3])
     assert np.allclose(pi[0], [0.25, 0.25, 0.5])
+
+
+def test_over_specified_k_reports_its_clamped_rows():
+    # K = 4 on a 3-class Normal model: both estimators clamp rows to zero.
+    rng = np.random.default_rng(1)
+    spec = simulation_spec(Normal(sigma2=1.0), n=60, rho=1.0, rng=rng)
+    r = sample_response(spec, rng)[0].values
+    for method, result, x in (("scgoma", scgoma(r, 4), top_k_svd(r, 4).left), ("rmsp", rmsp(r, 4), r)):
+        corners = x[result.pure_index_set]
+        z = np.maximum(0.0, x @ corners.T @ np.linalg.inv(corners @ corners.T))
+        dead = z.sum(axis=1) <= 0.0
+        assert result.n_clamped_rows == dead.sum() > 0
+        assert np.array_equal(result.membership_hat.rows[dead], np.full((dead.sum(), 4), 0.25))
+        assert ClassCountSweep(r, method, 6).fit(4).n_clamped_rows == result.n_clamped_rows
 
 
 def test_error_conditions():

@@ -124,7 +124,6 @@ def test_select_k_finds_true_class_count():
     assert len(curve) == 6
 
 
-@pytest.mark.filterwarnings("ignore:.*clamped to zero:RuntimeWarning")
 def test_select_k_curve_scores_each_fit_alone():
     # select_k scores all memberships in one batch; each K must read its own columns.
     rng = np.random.default_rng(8)
@@ -204,7 +203,6 @@ def _binomial_responses(n):
     return sample_response(spec, rng)[0].values
 
 
-@pytest.mark.filterwarnings("ignore:.*clamped to zero:RuntimeWarning")
 def test_sweep_fit_then_select_fits_each_k_once(monkeypatch):
     decompositions, fits = [], []
     for modules, name, calls in (((linalg, estimation), "_decompose", decompositions), ((estimation,), "_scgoma_fit", fits)):
@@ -223,7 +221,6 @@ def test_sweep_fit_then_select_fits_each_k_once(monkeypatch):
     assert k_hat == 3 and [k for k, _ in curve] == list(range(1, 7))
 
 
-@pytest.mark.filterwarnings("ignore:.*clamped to zero:RuntimeWarning")
 @pytest.mark.parametrize("method", ["scgoma", "rmsp"])
 def test_sweep_select_over_a_prefix_equals_select_k(method):
     # Min side 100 > 50: the randomized SVD path, one 25-column sketch for every k <= 15.

@@ -112,6 +112,8 @@ def test_structural_errors():
 def test_item_params_scale_defaults_to_max_abs():
     theta = np.array([[0.5, -2.0], [0.1, 0.3]])
     assert ItemParams(theta).scale == 2.0
+    with pytest.raises(TypeError):  # always max|Theta|, never an argument
+        ItemParams(theta, scale=3.0)
 
 
 def test_binomial_requires_positive_integer_trials():
