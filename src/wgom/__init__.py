@@ -24,7 +24,7 @@ from .types import (
     validate_model_spec,
 )
 from .linalg import TruncatedSVD, solve_small_inverse, top_k_svd
-from .vertex_hunting import VertexIndexSet, successive_projection
+from .vertex_hunting import successive_projection
 from .sampling import (
     Bernoulli,
     Binomial,
@@ -85,7 +85,6 @@ __all__ = [
     "SignedBinary",
     "TruncatedSVD",
     "Uniform",
-    "VertexIndexSet",
     "WgomError",
     "accuracy_rate",
     "block_memberships",

@@ -45,7 +45,7 @@ from .experiments import (
 )
 from .metrics import data_sparsity, profile_memberships
 from .modularity import select_k
-from .sampling import expected_responses, sample_response
+from .sampling import sample_response
 from .types import (
     PURE_TOL_LOADED,
     ItemParams,
@@ -152,12 +152,11 @@ def cmd_generate(args) -> int:
             raise ConfigError("invalid model spec: " + "; ".join(violations))
         responses, diagnostics = sample_response(spec, seed)
     except MemoryError as exc:
-        raise unallocatable(int(config["n"]), int(config["j"])) from exc
+        raise unallocatable(int(config["n"]), int(config["j"]), int(config["k"])) from exc
     out = _out_dir(args)
     matrix_io.write_dense_csv(out / "responses.csv", responses.values)
     matrix_io.write_dense_csv(out / "membership.csv", spec.membership.rows)
     matrix_io.write_dense_csv(out / "item_params.csv", spec.item_params.values)
-    matrix_io.write_dense_csv(out / "expected.csv", expected_responses(spec))
     matrix_io.write_manifest(
         out / "manifest.json",
         {
@@ -167,7 +166,7 @@ def cmd_generate(args) -> int:
             "config_sha256": matrix_io.config_hash(config),
             "tau_hat": diagnostics.tau_hat,
             "gamma_hat": diagnostics.gamma_hat,
-            "files": ["responses.csv", "membership.csv", "item_params.csv", "expected.csv"],
+            "files": ["responses.csv", "membership.csv", "item_params.csv"],
         },
     )
     print(f"wrote {spec.n_subjects}x{spec.n_items} response matrix to {out}")
@@ -248,7 +247,11 @@ def cmd_experiment(args) -> int:
         "errors": [],
         "files": [],
     }
-    for method in settings.get("methods", ["scgoma"]):
+    methods = settings.get("methods", ["scgoma"])
+    for method in methods:
+        if method not in ("scgoma", "rmsp"):
+            raise ConfigError(f"unknown method {method!r}")
+    for method in methods:
         rows = run_experiment(
             family,
             settings["values"],

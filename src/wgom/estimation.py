@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DegenerateRankError, DimensionError, RankDeficiencyError
 from .linalg import TruncatedSVD, _decompose, _leading, solve_small_inverse, top_k_svd
 from .types import EstimationResult, MembershipMatrix, response_array
-from .vertex_hunting import VertexIndexSet, _projection_prefix, successive_projection
+from .vertex_hunting import _projection_prefix, successive_projection
 
 IDEAL_RANK_RTOL = 1e-10
 IDEAL_EXTRA_RANK_RTOL = 1e-8
@@ -53,10 +53,10 @@ def _check_exact_rank(matrix: np.ndarray, k: int) -> None:
         )
 
 
-def _simplex_memberships(x: np.ndarray, vertices: VertexIndexSet):
+def _simplex_memberships(x: np.ndarray, vertices: np.ndarray):
     """Z = max(0, x C' (C C')^-1) for the corners C = x[vertices], row-normalized.
     Returns (pi, number of rows that clamped to zero, C)."""
-    corners = x[vertices.indices]
+    corners = x[vertices]
     gram_inv, _ = solve_small_inverse(corners @ corners.T)
     z = np.maximum(0.0, x @ corners.T @ gram_inv)
     pi, n_clamped = _normalize_clamped(z, len(vertices))
@@ -118,7 +118,7 @@ def _scgoma_fit(r: np.ndarray, svd: TruncatedSVD) -> EstimationResult:
     return EstimationResult(
         membership_hat=MembershipMatrix(pi),
         item_params_hat=theta,
-        pure_index_set=vertices.indices.tolist(),
+        pure_index_set=vertices.tolist(),
         singular_values=svd.singulars,
         n_clamped_rows=n_clamped,
     )
@@ -143,13 +143,13 @@ def rmsp(responses, k: int) -> EstimationResult:
     return _rmsp_fit(r, successive_projection(r, k))
 
 
-def _rmsp_fit(r: np.ndarray, vertices: VertexIndexSet) -> EstimationResult:
+def _rmsp_fit(r: np.ndarray, vertices: np.ndarray) -> EstimationResult:
     pi, n_clamped, corners = _simplex_memberships(r, vertices)
     theta = _item_regression(r.T @ pi, pi)
     return EstimationResult(
         membership_hat=MembershipMatrix(pi),
         item_params_hat=theta,
-        pure_index_set=vertices.indices.tolist(),
+        pure_index_set=vertices.tolist(),
         singular_values=np.linalg.svd(corners, compute_uv=False),
         n_clamped_rows=n_clamped,
     )
@@ -193,7 +193,7 @@ def _sweep_fitter(r: np.ndarray, estimator, k_max: int, *, seed: int = 0):
         def fit(k):
             if k > len(vertices):
                 raise RankDeficiencyError(f"k={k} needs {k} vertices: {failure}")
-            return _rmsp_fit(r, VertexIndexSet(vertices.indices[:k]))
+            return _rmsp_fit(r, vertices[:k])
 
     else:
         raise ValueError(f"unknown estimator {estimator!r}")

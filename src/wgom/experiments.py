@@ -149,16 +149,18 @@ def block_memberships(n: int, k: int, n_pure_per_class: int, mixed="uniform", rn
     return MembershipMatrix(rows)
 
 
-def unallocatable(n: int, j: int) -> ConfigError:
-    """The config error for a model whose N x J arrays cannot be allocated."""
-    return ConfigError(f"cannot allocate the {n} x {j} (N x J) model the config declares")
+def unallocatable(n: int, j: int, k: int) -> ConfigError:
+    """The config error for a model that cannot be allocated, naming its
+    largest float array: N x J, N x K or J x K (the first on a tie)."""
+    name, rows, cols = max(("N x J", n, j), ("N x K", n, k), ("J x K", j, k), key=lambda a: a[1] * a[2])
+    return ConfigError(f"cannot allocate the {rows} x {cols} ({name}) array of the model the config declares")
 
 
 def check_addressable(n: int, j: int, k: int) -> None:
     """``unallocatable`` unless numpy can address the model's float arrays of
     N x J, N x K and J x K entries, whatever memory the machine has."""
     if max(n * j, n * k, j * k) * np.dtype(float).itemsize > np.iinfo(np.intp).max:
-        raise unallocatable(n, j)
+        raise unallocatable(n, j, k)
 
 
 def random_item_params(
@@ -349,7 +351,7 @@ def run_experiment(
         except (ConfigError, InfeasibleSchemeError):
             raise
         except MemoryError as exc:
-            raise unallocatable(params["n"], params.get("j", params["n"] // 2)) from exc
+            raise unallocatable(params["n"], params.get("j", params["n"] // 2), params["k"]) from exc
         except WgomError as exc:
             rows.append(
                 GridRow(

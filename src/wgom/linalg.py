@@ -24,7 +24,6 @@ SKETCH_OVERSAMPLE = 10
 POWER_ITERATIONS = 4
 DEGENERATE_RTOL = 1e-12
 PINV_FALLBACK_RTOL = 1e-10
-SMALL_INVERSE_MAX_SIDE = 64
 
 
 @dataclass(frozen=True)
@@ -142,20 +141,16 @@ def _randomized_svd(a: np.ndarray, k: int, *, seed: int = 0):
 
 
 def solve_small_inverse(matrix) -> tuple[np.ndarray, bool]:
-    """Invert a small square matrix, falling back to the pseudo-inverse.
+    """Invert a square matrix, falling back to the pseudo-inverse.
 
-    Returns ``(inverse, used_pseudo)``.  The fallback triggers when the
-    smallest singular value drops below 1e-10 times the largest (or the matrix
-    is exactly zero), so a result is always produced.
+    Returns ``(inverse, used_pseudo)``.  The side is not limited (the
+    estimators pass K x K Gram matrices).  The fallback triggers when the
+    smallest singular value drops below 1e-10 times the largest (or the
+    matrix is exactly zero), so a result is always produced.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] > SMALL_INVERSE_MAX_SIDE:
-        raise DimensionError(
-            f"matrix side {a.shape[0]} exceeds the small-inverse limit "
-            f"{SMALL_INVERSE_MAX_SIDE}"
-        )
     s = np.linalg.svd(a, compute_uv=False)
     if s[0] == 0.0 or s[-1] < PINV_FALLBACK_RTOL * s[0]:
         return np.linalg.pinv(a), True

@@ -7,8 +7,6 @@ pure row per class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionError, RankDeficiencyError
@@ -17,25 +15,10 @@ TIE_RTOL = 1e-12
 ZERO_RESIDUAL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class VertexIndexSet:
-    """Row indices of the selected vertices, in selection order."""
-
-    indices: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=int)
-        object.__setattr__(self, "indices", idx)
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __iter__(self):
-        return iter(self.indices.tolist())
-
-
-def successive_projection(rows, k: int) -> VertexIndexSet:
+def successive_projection(rows, k: int) -> np.ndarray:
     """Select k rows that span the enclosing simplex of all rows.
+
+    Returns the k selected row indices as an int array, in selection order.
 
     Each step picks the row with the largest residual Euclidean norm (ties
     within 1e-12 relative go to the lowest index), then projects every row
@@ -56,13 +39,13 @@ def successive_projection(rows, k: int) -> VertexIndexSet:
     return vertices
 
 
-def _projection_prefix(rows, k: int) -> tuple[VertexIndexSet, str | None]:
+def _projection_prefix(rows, k: int) -> tuple[np.ndarray, str | None]:
     """Successive projection that stops early instead of raising.
 
-    Returns ``(vertices, failure)``: the picks made before the residual
-    vanished, and ``None`` or the reason the search stopped short of k.  The
-    search is greedy, so the first t picks of a k-pick run are the picks of a
-    t-pick run.
+    Returns ``(vertices, failure)``: the int index array of the picks made
+    before the residual vanished, and ``None`` or the reason the search
+    stopped short of k.  The search is greedy, so the first t picks of a
+    k-pick run are the picks of a t-pick run.
     """
     x = np.asarray(rows, dtype=float)
     if x.ndim != 2:
@@ -79,7 +62,7 @@ def _projection_prefix(rows, k: int) -> tuple[VertexIndexSet, str | None]:
         norms = np.linalg.norm(residual, axis=1)
         top = norms.max()
         if top < ZERO_RESIDUAL_TOL:
-            return VertexIndexSet(indices=chosen[:t]), (
+            return chosen[:t], (
                 f"residual vanished after {t} of {k} selections "
                 f"(max row norm {top:.3g})"
             )
@@ -93,7 +76,7 @@ def _projection_prefix(rows, k: int) -> tuple[VertexIndexSet, str | None]:
             direction -= basis[:t].T @ (basis[:t] @ direction)
         norm = np.linalg.norm(direction)
         if norm < ZERO_RESIDUAL_TOL:
-            return VertexIndexSet(indices=chosen[:t]), (
+            return chosen[:t], (
                 f"selected direction collapsed after re-orthogonalization "
                 f"at step {t + 1} of {k}"
             )
@@ -101,4 +84,4 @@ def _projection_prefix(rows, k: int) -> tuple[VertexIndexSet, str | None]:
         basis[t] = direction
         residual -= np.outer(residual @ direction, direction)
 
-    return VertexIndexSet(indices=chosen), None
+    return chosen, None

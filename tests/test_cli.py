@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from wgom import Binomial, ItemParams, MembershipMatrix, ModelSpec, expected_responses
 from wgom.cli import main
 from wgom.matrix_io import read_dense_csv, write_coordinate, write_dense_csv
 
@@ -28,9 +29,9 @@ def generated(tmp_path):
 
 def test_generate_writes_all_files_and_manifest(generated):
     _, out = generated
-    for name in ("responses.csv", "membership.csv", "item_params.csv", "expected.csv"):
-        assert (out / name).exists()
     manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["files"] == ["responses.csv", "membership.csv", "item_params.csv"]
+    assert sorted(path.name for path in out.iterdir()) == sorted([*manifest["files"], "manifest.json"])
     assert manifest["seed"] == 11
     assert len(manifest["config_sha256"]) == 64
     responses = read_dense_csv(out / "responses.csv")
@@ -38,8 +39,12 @@ def test_generate_writes_all_files_and_manifest(generated):
     assert set(np.unique(responses)) <= set(range(6))  # binomial(m=5) counts
     pi = read_dense_csv(out / "membership.csv")
     theta = read_dense_csv(out / "item_params.csv")
-    expected = read_dense_csv(out / "expected.csv")
-    assert np.allclose(pi @ theta.T, expected, atol=1e-12)
+    # R0 is membership.csv @ item_params.csv', as wgom.expected_responses computes it.
+    expected = pi @ theta.T
+    spec = ModelSpec(MembershipMatrix(pi), ItemParams(theta), Binomial(m=5))
+    assert np.allclose(expected, expected_responses(spec), atol=1e-12)
+    # The factors describe the sampled matrix: its grand mean is within 5 standard errors of R0's.
+    assert abs(responses.mean() - expected.mean()) < 5 * np.sqrt(5 / 4 / responses.size)
 
 
 def test_generate_is_deterministic(generated, tmp_path):
@@ -217,7 +222,7 @@ def test_generate_large_block_geometry(tmp_path):
     mixed = pi[600:]
     assert mixed[:, :2].max() <= 1 / 3
     assert np.allclose(mixed.sum(axis=1), 1.0)
-    expected = read_dense_csv(out / "expected.csv")
+    expected = pi @ read_dense_csv(out / "item_params.csv").T
     s = np.linalg.svd(expected, compute_uv=False)
     assert s[2] > 1e-10 * s[0] and s[3] < 1e-10 * s[0]
 
@@ -283,7 +288,7 @@ def test_generate_discrete_distribution(tmp_path):
     assert main(["generate", str(path), "--out", str(out)]) == 0
     responses = read_dense_csv(out / "responses.csv")
     assert set(np.unique(responses)) <= {-2.0, 1.0, 1.5}
-    expected = read_dense_csv(out / "expected.csv")
+    expected = read_dense_csv(out / "membership.csv") @ read_dense_csv(out / "item_params.csv").T
     assert expected.min() >= 0.25 - 1e-12 and expected.max() <= 1 / 3 + 1e-12
 
 
@@ -411,12 +416,19 @@ def test_exit_code_config_error(tmp_path, capsys):
         ("generate", {**base, "j": 1e300}),
         ("experiment", {**sweep, "n": 1e300}),
         ("experiment", {**sweep, "family": "k", "values": [1e300]}),
+        ("generate", {**base, "n": 12, "j": 6, "k": 1e18}),
     ):
         experiment.write_text(json.dumps(config))
         capsys.readouterr()
         assert main([command, str(experiment), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
+    # The error names the array that cannot be addressed, not the tiny 12 x 6 one.
+    assert "(N x K)" in err
+    # Every method is checked before the first one runs, so nothing is written.
+    experiment.write_text(json.dumps({**sweep, "methods": ["scgoma", "bogus"]}))
+    assert main(["experiment", str(experiment), "--out", str(tmp_path / "m")]) == 2
+    assert not (tmp_path / "m").exists()
     experiment.write_text(json.dumps(sweep))
     for threads in ("0", "-2"):
         assert main(["experiment", str(experiment), "--out", str(tmp_path / "t"), "--threads", threads]) == 2
@@ -435,6 +447,13 @@ def test_exit_code_config_error(tmp_path, capsys):
         for config in ("5", "null", "[1]", '"n"'):
             experiment.write_text(config)
             assert main([command, str(experiment), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_estimate_accepts_k_above_64(tmp_path):
+    matrix = tmp_path / "m.csv"
+    write_dense_csv(matrix, np.random.default_rng(0).random((300, 200)))
+    assert main(["estimate", str(matrix), "--k", "70", "--out", str(tmp_path / "o")]) == 0
+    assert read_dense_csv(tmp_path / "o" / "membership_hat.csv").shape == (300, 70)
 
 
 def test_flags_follow_the_config_rules(tmp_path):

@@ -19,6 +19,7 @@ from wgom import (
     rmsp,
     sample_response,
     scgoma,
+    select_k,
     simulation_spec,
 )
 from wgom.estimation import _normalize_clamped
@@ -188,6 +189,16 @@ def test_over_specified_k_reports_its_clamped_rows():
         assert result.n_clamped_rows == dead.sum() > 0
         assert np.array_equal(result.membership_hat.rows[dead], np.full((dead.sum(), 4), 0.25))
         assert ClassCountSweep(r, method, 6).fit(4).n_clamped_rows == result.n_clamped_rows
+
+
+def test_class_counts_above_64():
+    # The K x K inverses take any side, so K is bounded only by min(N, J).
+    r = np.random.default_rng(0).random((300, 200))
+    for result in (scgoma(r, 70), rmsp(r, 70)):
+        assert result.membership_hat.rows.shape == (300, 70)
+        assert result.item_params_hat.shape == (200, 70)
+    _, curve = select_k(r, "scgoma", 70)
+    assert [k for k, _ in curve][-1] == 70
 
 
 def test_error_conditions():

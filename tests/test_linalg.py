@@ -154,5 +154,3 @@ def test_small_inverse_residual_bound():
 def test_small_inverse_shape_limits():
     with pytest.raises(DimensionError):
         solve_small_inverse(np.ones((2, 3)))
-    with pytest.raises(DimensionError):
-        solve_small_inverse(np.eye(65))

@@ -10,7 +10,7 @@ from helpers import block_pi
 
 def test_orthonormal_corners_selected_in_index_order():
     result = successive_projection(np.eye(3), 3)
-    assert result.indices.tolist() == [0, 1, 2]
+    assert result.tolist() == [0, 1, 2]
 
 
 def test_separable_rows_recover_pure_rows():
@@ -20,10 +20,10 @@ def test_separable_rows_recover_pure_rows():
     pi = np.vstack([np.eye(3), [[1 / 3, 1 / 3, 1 / 3]], [[0.6, 0.3, 0.1]], [[0.1, 0.1, 0.8]]])
     rows = pi @ x
     selected = successive_projection(rows, 3)
-    assert sorted(selected.indices.tolist()) == [0, 1, 2]
+    assert sorted(selected.tolist()) == [0, 1, 2]
     # Least-squares oracle: every row must be a convex combination of the
     # selected rows with negligible residual.
-    corners = rows[selected.indices]
+    corners = rows[selected]
     for row in rows:
         weights = np.linalg.solve(corners.T, row)
         assert np.linalg.norm(weights @ corners - row) < 1e-8
@@ -42,30 +42,30 @@ def test_duplicated_vertex_never_selected_twice():
         ]
     )
     selected = successive_projection(rows, 2)
-    assert selected.indices.tolist() == [0, 2]
+    assert selected.tolist() == [0, 2]
     # Brute-force oracle: the selected pair spans a maximal-volume simplex.
     best = max(
         abs(np.linalg.det(rows[[i, j]]))
         for i, j in itertools.combinations(range(len(rows)), 2)
     )
-    assert abs(np.linalg.det(rows[selected.indices])) >= best - 1e-12
+    assert abs(np.linalg.det(rows[selected])) >= best - 1e-12
 
 
 def test_permutation_equivariance():
     rng = np.random.default_rng(1)
     pi = np.vstack([np.eye(4), rng.dirichlet(np.ones(4), size=20)])
     rows = pi @ rng.standard_normal((4, 4))
-    base = successive_projection(rows, 4).indices
+    base = successive_projection(rows, 4)
     perm = rng.permutation(len(rows))
-    permuted = successive_projection(rows[perm], 4).indices
+    permuted = successive_projection(rows[perm], 4)
     assert perm[permuted].tolist() == base.tolist()
 
 
 def test_scaling_invariance_of_selection():
     rng = np.random.default_rng(2)
     rows = rng.standard_normal((30, 5))
-    base = successive_projection(rows, 4).indices
-    scaled = successive_projection(7.3 * rows, 4).indices
+    base = successive_projection(rows, 4)
+    scaled = successive_projection(7.3 * rows, 4)
     assert scaled.tolist() == base.tolist()
 
 
@@ -91,6 +91,6 @@ def test_exact_recovery_on_simulated_simplex():
     x = rng.standard_normal((3, 7))
     rows = pi @ x
     selected = successive_projection(rows, 3)
-    classes = {int(np.argmax(pi[i])) for i in selected.indices}
-    assert all(pi[i].max() == 1.0 for i in selected.indices)
+    classes = {int(np.argmax(pi[i])) for i in selected}
+    assert all(pi[i].max() == 1.0 for i in selected)
     assert classes == {0, 1, 2}
