@@ -21,17 +21,16 @@ from pathlib import Path
 
 import numpy as np
 
-from . import estimation, matrix_io
+from . import matrix_io
 from .errors import (
     ConfigError,
     DataFormatError,
-    DegenerateRankError,
     DimensionError,
     DistributionRangeError,
     InfeasibleSchemeError,
-    RankDeficiencyError,
     WgomError,
 )
+from .estimation import METHODS
 from .experiments import (
     block_memberships,
     check_addressable,
@@ -44,7 +43,7 @@ from .experiments import (
     unallocatable,
 )
 from .metrics import data_sparsity, profile_memberships
-from .modularity import select_k
+from .modularity import ClassCountSweep, select_k
 from .sampling import sample_response
 from .types import (
     PURE_TOL_LOADED,
@@ -60,7 +59,6 @@ EXIT_NUMERICAL = 4
 
 _CONFIG_ERRORS = (ConfigError, DistributionRangeError, InfeasibleSchemeError)
 _DATA_ERRORS = (DataFormatError, DimensionError, OSError)
-_NUMERICAL_ERRORS = (DegenerateRankError, RankDeficiencyError)
 # The metric columns of an experiment's result file, after the family's value.
 _METRICS = ("mean_hamming_error", "mean_relative_error", "mean_runtime_seconds", "accuracy_rate")
 
@@ -177,10 +175,7 @@ def cmd_estimate(args) -> int:
     seed, k = config_value("seed", args.seed), config_value("k", args.k)
     values = _load_pruned_matrix(args)
     started = time.perf_counter()
-    if args.method == "scgoma":
-        result = estimation.scgoma(values, k, seed=seed)
-    else:
-        result = estimation.rmsp(values, k)
+    result = ClassCountSweep(values, args.method, k, seed=seed).fit(k)
     elapsed = time.perf_counter() - started
 
     mixed_thr, pure_thr = args.thresholds
@@ -249,8 +244,10 @@ def cmd_experiment(args) -> int:
     }
     methods = settings.get("methods", ["scgoma"])
     for method in methods:
-        if method not in ("scgoma", "rmsp"):
+        if method not in METHODS:
             raise ConfigError(f"unknown method {method!r}")
+    if len(set(methods)) < len(methods):
+        raise ConfigError(f"methods {methods} list a method twice")
     for method in methods:
         rows = run_experiment(
             family,
@@ -311,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     est = sub.add_parser("estimate", help="estimate memberships from a matrix file")
     est.add_argument("matrix", help="dense CSV or 1-indexed coordinate file")
     est.add_argument("--k", type=int, required=True, help="number of latent classes")
-    est.add_argument("--method", choices=("scgoma", "rmsp"), default="scgoma")
+    est.add_argument("--method", choices=METHODS, default="scgoma")
     est.add_argument("--seed", type=int, default=0, help="seed for the randomized SVD path")
     est.add_argument("--out", default="wgom-out")
     est.add_argument(
@@ -330,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sel = sub.add_parser("select-k", help="select the class count by modularity")
     sel.add_argument("matrix")
-    sel.add_argument("--method", choices=("scgoma", "rmsp"), default="scgoma")
+    sel.add_argument("--method", choices=METHODS, default="scgoma")
     sel.add_argument("--k-max", type=int, default=15, dest="k_max")
     sel.add_argument("--seed", type=int, default=0)
     sel.add_argument("--out", default=None, help="also write select_k.json here")
@@ -358,8 +355,6 @@ def main(argv=None) -> int:
         return _fail(EXIT_CONFIG, str(exc))
     except _DATA_ERRORS as exc:
         return _fail(EXIT_DATA, str(exc))
-    except _NUMERICAL_ERRORS as exc:
-        return _fail(EXIT_NUMERICAL, str(exc))
     except WgomError as exc:
         return _fail(EXIT_NUMERICAL, str(exc))
 

@@ -7,9 +7,11 @@ rank-K reconstruction; ``rmsp`` uses R for both.  The oracle variants
 ``ideal_scgoma`` / ``ideal_rmsp`` check that a noiseless expected matrix has
 rank exactly K and then run the matching estimator, which recovers it exactly.
 
-``_sweep_fitter`` fits every K of a class-count sweep on an already checked R
-from one decomposition: one top-K_max SVD for ``scgoma``, one K_max-pick
-vertex search for ``rmsp``.  ``modularity.ClassCountSweep`` is its caller.
+``_sweep_fitter`` is the one route from a method name in ``METHODS`` and a K to
+a fit.  It fits every K of a class-count sweep on an already checked R from one
+decomposition: one top-K_max SVD for ``scgoma``, one K_max-pick vertex search
+for ``rmsp``.  A single fit, oracles included, is the K-th fit of a one-K
+sweep; ``modularity.ClassCountSweep`` caches the fits of a longer one.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ from functools import partial
 import numpy as np
 
 from .errors import DegenerateRankError, DimensionError, RankDeficiencyError
-from .linalg import TruncatedSVD, _decompose, _leading, solve_small_inverse, top_k_svd
+from .linalg import TruncatedSVD, _decompose, _leading, solve_small_inverse
 from .types import EstimationResult, MembershipMatrix, response_array
 from .vertex_hunting import _projection_prefix, successive_projection
 
+METHODS = ("scgoma", "rmsp")
 IDEAL_RANK_RTOL = 1e-10
 IDEAL_EXTRA_RANK_RTOL = 1e-8
 
@@ -69,6 +72,13 @@ def _item_regression(target_t_pi: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return target_t_pi @ gram_inv
 
 
+def _ideal_fit(expected, method: str, k: int) -> tuple[MembershipMatrix, np.ndarray]:
+    r0 = response_array(expected)
+    _check_exact_rank(r0, k)
+    result = _sweep_fitter(r0, method, k)(k)
+    return result.membership_hat, result.item_params_hat
+
+
 def ideal_scgoma(expected, k: int) -> tuple[MembershipMatrix, np.ndarray]:
     """Exact recovery from a noiseless expected matrix via its top-k SVD.
 
@@ -76,10 +86,7 @@ def ideal_scgoma(expected, k: int) -> tuple[MembershipMatrix, np.ndarray]:
     permutation for any valid model.  Raises ``DegenerateRankError`` unless
     the input has rank exactly k.
     """
-    r0 = response_array(expected)
-    _check_exact_rank(r0, k)
-    result = scgoma(r0, k)
-    return result.membership_hat, result.item_params_hat
+    return _ideal_fit(expected, "scgoma", k)
 
 
 def scgoma(responses, k: int, *, seed: int = 0) -> EstimationResult:
@@ -106,8 +113,7 @@ def scgoma(responses, k: int, *, seed: int = 0) -> EstimationResult:
     DimensionError
         If k exceeds min(N, J).
     """
-    r = response_array(responses)
-    return _scgoma_fit(r, top_k_svd(r, k, seed=seed))
+    return _sweep_fitter(response_array(responses), "scgoma", k, seed=seed)(k)
 
 
 def _scgoma_fit(r: np.ndarray, svd: TruncatedSVD) -> EstimationResult:
@@ -126,10 +132,7 @@ def _scgoma_fit(r: np.ndarray, svd: TruncatedSVD) -> EstimationResult:
 
 def ideal_rmsp(expected, k: int) -> tuple[MembershipMatrix, np.ndarray]:
     """Exact recovery via the raw rows; rank checked as in ``ideal_scgoma``."""
-    r0 = response_array(expected)
-    _check_exact_rank(r0, k)
-    result = rmsp(r0, k)
-    return result.membership_hat, result.item_params_hat
+    return _ideal_fit(expected, "rmsp", k)
 
 
 def rmsp(responses, k: int) -> EstimationResult:
@@ -139,8 +142,7 @@ def rmsp(responses, k: int) -> EstimationResult:
     R[I] (the rank-k system inverted here).  Errors mirror ``scgoma``; an
     all-zero response matrix surfaces as a vertex-search rank deficiency.
     """
-    r = response_array(responses)
-    return _rmsp_fit(r, successive_projection(r, k))
+    return _sweep_fitter(response_array(responses), "rmsp", k)(k)
 
 
 def _rmsp_fit(r: np.ndarray, vertices: np.ndarray) -> EstimationResult:
@@ -160,7 +162,7 @@ def _sweep_fitter(r: np.ndarray, estimator, k_max: int, *, seed: int = 0):
     response array ``r`` (as ``response_array`` returns it).
 
     Returns ``fit(k) -> EstimationResult``, which raises what the estimator
-    raises at k.  ``estimator`` is ``"scgoma"``, ``"rmsp"`` or a callable
+    raises at k.  ``estimator`` is a name in ``METHODS`` or a callable
     ``(responses, k) -> EstimationResult``, which is called once per k.
 
     The built-in estimators decompose R once per sweep.  ``"scgoma"`` fits k
@@ -181,20 +183,16 @@ def _sweep_fitter(r: np.ndarray, estimator, k_max: int, *, seed: int = 0):
         raise DimensionError(f"k={k_max} outside [1, min(N, J)] = [1, {min(r.shape)}]")
     if callable(estimator):
         return partial(estimator, r)
+    if estimator not in METHODS:
+        raise ValueError(f"unknown estimator {estimator!r}")
     if estimator == "scgoma":
         factors = _decompose(r, k_max, seed=seed)
+        return lambda k: _scgoma_fit(r, _leading(*factors, k))
+    vertices, failure = _projection_prefix(r, k_max)
 
-        def fit(k):
-            return _scgoma_fit(r, _leading(*factors, k))
+    def fit(k):
+        if k > len(vertices):
+            raise RankDeficiencyError(f"k={k} needs {k} vertices: {failure}")
+        return _rmsp_fit(r, vertices[:k])
 
-    elif estimator == "rmsp":
-        vertices, failure = _projection_prefix(r, k_max)
-
-        def fit(k):
-            if k > len(vertices):
-                raise RankDeficiencyError(f"k={k} needs {k} vertices: {failure}")
-            return _rmsp_fit(r, vertices[:k])
-
-    else:
-        raise ValueError(f"unknown estimator {estimator!r}")
     return fit

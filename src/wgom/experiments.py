@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, InfeasibleSchemeError, WgomError
+from .estimation import METHODS
 from .metrics import accuracy_rate, hamming_error, relative_error
 from .modularity import ClassCountSweep
 from .sampling import DISTRIBUTIONS, GeneralDiscrete, sample_response
@@ -312,7 +313,7 @@ def run_experiment(
     error row (metrics NaN); remaining grid points still run.
     """
     family = normalize_family(family)
-    if method not in ("scgoma", "rmsp"):
+    if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}")
     mean_range = None if mean_range is None else config_value("mean_range", mean_range)
 

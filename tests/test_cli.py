@@ -429,6 +429,9 @@ def test_exit_code_config_error(tmp_path, capsys):
     experiment.write_text(json.dumps({**sweep, "methods": ["scgoma", "bogus"]}))
     assert main(["experiment", str(experiment), "--out", str(tmp_path / "m")]) == 2
     assert not (tmp_path / "m").exists()
+    experiment.write_text(json.dumps({**sweep, "methods": ["scgoma", "scgoma"]}))
+    assert main(["experiment", str(experiment), "--out", str(tmp_path / "m")]) == 2
+    assert not (tmp_path / "m").exists()
     experiment.write_text(json.dumps(sweep))
     for threads in ("0", "-2"):
         assert main(["experiment", str(experiment), "--out", str(tmp_path / "t"), "--threads", threads]) == 2
@@ -495,6 +498,11 @@ def test_exit_code_numerical_error(tmp_path):
     constant = tmp_path / "const.csv"
     write_dense_csv(constant, np.full((8, 6), 2.0))
     assert main(["estimate", str(constant), "--k", "2", "--out", str(tmp_path / "o")]) == 4
+    assert main(["estimate", str(constant), "--method", "rmsp", "--k", "2", "--out", str(tmp_path / "o")]) == 4
+    zeros = tmp_path / "zeros.csv"
+    write_dense_csv(zeros, np.zeros((8, 6)))
+    for method in ("scgoma", "rmsp"):
+        assert main(["select-k", str(zeros), "--method", method, "--k-max", "3"]) == 4
 
 
 def test_console_script_entry_point(tmp_path):

@@ -201,6 +201,19 @@ def test_class_counts_above_64():
     assert [k for k, _ in curve][-1] == 70
 
 
+@pytest.mark.parametrize("k", [16, 20])
+def test_single_fit_equals_sweep_fit_above_15_classes(k):
+    # Min side 120: k = 16 and 20 sketch 26 and 30 columns on the randomized path.
+    r = np.random.default_rng(3).random((200, 120))
+    for method, single in (("scgoma", scgoma(r, k, seed=5)), ("rmsp", rmsp(r, k))):
+        swept = ClassCountSweep(r, method, k, seed=5).fit(k)
+        assert np.array_equal(single.membership_hat.rows, swept.membership_hat.rows)
+        assert np.array_equal(single.item_params_hat, swept.item_params_hat)
+        assert single.pure_index_set == swept.pure_index_set
+        assert np.array_equal(single.singular_values, swept.singular_values)
+        assert single.n_clamped_rows == swept.n_clamped_rows
+
+
 def test_error_conditions():
     with pytest.raises(DegenerateRankError):
         scgoma(np.zeros((5, 4)), 2)
