@@ -20,9 +20,9 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DegenerateRankError, DimensionError, RankDeficiencyError
+from .errors import ConfigError, DegenerateRankError, DimensionError, RankDeficiencyError
 from .linalg import TruncatedSVD, _decompose, _leading, solve_small_inverse
-from .types import EstimationResult, MembershipMatrix, response_array
+from .types import EstimationResult, MembershipMatrix, _is_count, response_array
 from .vertex_hunting import _projection_prefix, successive_projection
 
 METHODS = ("scgoma", "rmsp")
@@ -74,6 +74,8 @@ def _item_regression(target_t_pi: np.ndarray, pi: np.ndarray) -> np.ndarray:
 
 def _ideal_fit(expected, method: str, k: int) -> tuple[MembershipMatrix, np.ndarray]:
     r0 = response_array(expected)
+    if not _is_count(k):
+        raise DimensionError(f"k={k!r} is not an integer")
     _check_exact_rank(r0, k)
     result = _sweep_fitter(r0, method, k)(k)
     return result.membership_hat, result.item_params_hat
@@ -177,14 +179,15 @@ def _sweep_fitter(r: np.ndarray, estimator, k_max: int, *, seed: int = 0):
     search, since the search is greedy; if that search stops after t picks,
     every k > t raises ``RankDeficiencyError``.
 
-    Raises ``DimensionError`` if k_max lies outside [1, min(N, J)].
+    Raises ``DimensionError`` if k_max is not an integer (a bool is not) in
+    [1, min(N, J)], and ``ConfigError`` for an unknown method name.
     """
-    if not 1 <= k_max <= min(r.shape):
-        raise DimensionError(f"k={k_max} outside [1, min(N, J)] = [1, {min(r.shape)}]")
+    if not (_is_count(k_max) and 1 <= k_max <= min(r.shape)):
+        raise DimensionError(f"k={k_max!r} outside [1, min(N, J)] = [1, {min(r.shape)}]")
     if callable(estimator):
         return partial(estimator, r)
     if estimator not in METHODS:
-        raise ValueError(f"unknown estimator {estimator!r}")
+        raise ConfigError(f"unknown estimator {estimator!r}; expected one of {METHODS}")
     if estimator == "scgoma":
         factors = _decompose(r, k_max, seed=seed)
         return lambda k: _scgoma_fit(r, _leading(*factors, k))

@@ -46,11 +46,10 @@ class TruncatedSVD:
 def _fix_signs(u: np.ndarray, vt: np.ndarray) -> None:
     # Deterministic orientation: the largest-magnitude entry of each left
     # singular vector is made nonnegative (argmax already breaks ties low).
-    for j in range(u.shape[1]):
-        pivot = np.argmax(np.abs(u[:, j]))
-        if u[pivot, j] < 0:
-            u[:, j] = -u[:, j]
-            vt[j, :] = -vt[j, :]
+    columns = np.arange(u.shape[1])
+    flip = u[np.argmax(np.abs(u), axis=0), columns] < 0
+    u[:, flip] = -u[:, flip]
+    vt[flip] = -vt[flip]
 
 
 def _check_spectrum(s: np.ndarray, k: int) -> None:

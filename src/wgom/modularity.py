@@ -25,7 +25,7 @@ import numpy as np
 
 from . import estimation
 from .errors import DegenerateRankError, DimensionError, RankDeficiencyError, WgomError
-from .types import EstimationResult, membership_array, response_array
+from .types import EstimationResult, _is_count, membership_array, response_array
 
 # Byte budget of one row block of A = RR' in the mixed-sign pass.
 BLOCK_BYTES = 4 * 2**20
@@ -96,12 +96,13 @@ class ClassCountSweep:
 
     ``estimator`` is ``"scgoma"``, ``"rmsp"``, or any callable
     ``(responses, k) -> EstimationResult``, which is called once per k.  The
-    constructor checks R (``DimensionError`` if k_max lies outside
-    [1, min(N, J)]) and decomposes it once for the built-in estimators:
-    ``"scgoma"`` fits every k from one top-k_max SVD seeded with ``seed`` and
-    ``"rmsp"`` from one k_max-pick successive-projection pass.  Each fit then
-    equals the single-k ``scgoma``/``rmsp`` fit exactly, except ``"scgoma"``
-    with k_max > 15 where a single fit takes the randomized SVD path (see
+    constructor checks R (``DimensionError`` unless k_max is an integer in
+    [1, min(N, J)], ``ConfigError`` for an unknown name) and decomposes it
+    once for the built-in estimators: ``"scgoma"`` fits every k from one
+    top-k_max SVD seeded with ``seed`` and ``"rmsp"`` from one k_max-pick
+    successive-projection pass.  Each fit then equals the single-k
+    ``scgoma``/``rmsp`` fit exactly, except ``"scgoma"`` with k_max > 15 where
+    a single fit takes the randomized SVD path (see
     ``estimation._sweep_fitter``).  At a k far from the true class count a
     fit's ``n_clamped_rows`` is often nonzero; that is data, not a fault.
     """
@@ -112,9 +113,10 @@ class ClassCountSweep:
         self._fits = functools.cache(estimation._sweep_fitter(self.responses, estimator, k_max, seed=seed))
 
     def fit(self, k: int) -> EstimationResult:
-        """The estimate at k; raises what the estimator raises, or ``DimensionError`` outside [1, k_max]."""
-        if not 1 <= k <= self.k_max:
-            raise DimensionError(f"k={k} outside [1, {self.k_max}], the sweep's k_max")
+        """The estimate at k; raises what the estimator raises, or
+        ``DimensionError`` unless k is an integer in [1, k_max]."""
+        if not (_is_count(k) and 1 <= k <= self.k_max):
+            raise DimensionError(f"k={k!r} outside [1, {self.k_max}], the sweep's k_max")
         return self._fits(k)
 
     def select(self, k_max=None) -> tuple[int, list]:
@@ -125,12 +127,12 @@ class ClassCountSweep:
         smallest k.  The memberships are scored together, in the one pass over
         R the module docstring describes.
 
-        Raises ``DimensionError`` if k_max lies outside [1, the sweep's k_max]
-        and ``WgomError`` if the estimator fails at every k.
+        Raises ``DimensionError`` unless k_max is an integer in [1, the
+        sweep's k_max], and ``WgomError`` if the estimator fails at every k.
         """
         k_max = self.k_max if k_max is None else k_max
-        if not 1 <= k_max <= self.k_max:
-            raise DimensionError(f"k_max={k_max} outside [1, {self.k_max}], the sweep's k_max")
+        if not (_is_count(k_max) and 1 <= k_max <= self.k_max):
+            raise DimensionError(f"k_max={k_max!r} outside [1, {self.k_max}], the sweep's k_max")
         fitted = {}
         for k in range(1, k_max + 1):
             try:

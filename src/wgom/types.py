@@ -12,6 +12,7 @@ uses only its ``admissible``, ``range_description`` and ``name``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -41,6 +42,11 @@ def _checked_matrix(values, name: str) -> np.ndarray:
         i, j = np.argwhere(~finite)[0]
         raise DataFormatError(f"{name} has a non-finite entry at ({i}, {j}): {arr[i, j]}")
     return arr
+
+
+def _is_count(value) -> bool:
+    """Whether ``value`` may be a class count: a Python or numpy integer, not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _frozen_copy(values, name: str) -> np.ndarray:

@@ -77,3 +77,47 @@ def block_pi(n, k, n_pure, mixed_row=None) -> np.ndarray:
         mixed_row = np.full(k, 1.0 / k)
     pi[k * n_pure :] = mixed_row
     return pi
+
+
+SPA_TIE_RTOL = 1e-12
+SPA_ZERO_RESIDUAL_TOL = 1e-12
+
+
+def spa_oracle(rows, k):
+    """Successive projection on an explicit residual matrix: every pick takes
+    the largest residual row norm (ties within 1e-12 relative to the lowest
+    index) and deflates the whole residual.  Returns ``(vertices, failure)``
+    as ``vertex_hunting._projection_prefix`` does."""
+    x = np.asarray(rows, dtype=float)
+    n, d = x.shape
+    residual = x.copy()
+    basis = np.empty((k, d))
+    chosen = np.empty(k, dtype=int)
+
+    for t in range(k):
+        norms = np.linalg.norm(residual, axis=1)
+        top = norms.max()
+        if top < SPA_ZERO_RESIDUAL_TOL:
+            return chosen[:t], (
+                f"residual vanished after {t} of {k} selections "
+                f"(max row norm {top:.3g})"
+            )
+        pick = int(np.flatnonzero(norms >= top * (1.0 - SPA_TIE_RTOL))[0])
+        chosen[t] = pick
+
+        direction = residual[pick].copy()
+        if t:
+            # One re-orthogonalization pass keeps the basis clean for
+            # near-degenerate simplices.
+            direction -= basis[:t].T @ (basis[:t] @ direction)
+        norm = np.linalg.norm(direction)
+        if norm < SPA_ZERO_RESIDUAL_TOL:
+            return chosen[:t], (
+                f"selected direction collapsed after re-orthogonalization "
+                f"at step {t + 1} of {k}"
+            )
+        direction /= norm
+        basis[t] = direction
+        residual -= np.outer(residual @ direction, direction)
+
+    return chosen, None

@@ -22,7 +22,8 @@ from wgom import (
     select_k,
     simulation_spec,
 )
-from wgom.estimation import _normalize_clamped
+from wgom.errors import ConfigError
+from wgom.estimation import _normalize_clamped, _sweep_fitter
 from wgom.linalg import top_k_svd
 
 from helpers import block_pi, brute_hamming
@@ -224,3 +225,53 @@ def test_error_conditions():
     constant = np.full((6, 5), 2.0)
     with pytest.raises(DegenerateRankError):
         scgoma(constant, 2)
+
+
+@pytest.mark.parametrize("k", [True, False, 2.0, 2.5, "2", None])
+def test_non_integer_class_count_is_a_dimension_error(k):
+    r = np.random.default_rng(0).random((20, 10))
+    r0 = np.random.default_rng(1).random((20, 2)) @ np.random.default_rng(2).random((2, 10))
+    for method in ("scgoma", "rmsp"):
+        with pytest.raises(DimensionError):
+            _sweep_fitter(r, method, k)
+        with pytest.raises(DimensionError):
+            ClassCountSweep(r, method, k)
+        sweep = ClassCountSweep(r, method, 4)
+        with pytest.raises(DimensionError):
+            sweep.fit(k)
+        if k is not None:
+            with pytest.raises(DimensionError):
+                sweep.select(k)
+    for estimator in (scgoma, rmsp, ideal_scgoma, ideal_rmsp):
+        with pytest.raises(DimensionError):
+            estimator(r0, k)
+
+
+def assert_same_fit(a, b):
+    assert np.array_equal(a.membership_hat.rows, b.membership_hat.rows)
+    assert np.array_equal(a.item_params_hat, b.item_params_hat)
+    assert a.pure_index_set == b.pure_index_set
+    assert np.array_equal(a.singular_values, b.singular_values)
+    assert a.n_clamped_rows == b.n_clamped_rows
+
+
+def test_numpy_integer_class_counts_pass():
+    r = np.random.default_rng(3).random((20, 10))
+    for method in ("scgoma", "rmsp"):
+        plain = ClassCountSweep(r, method, 4)
+        numpy_ints = ClassCountSweep(r, method, np.int64(4))
+        assert_same_fit(numpy_ints.fit(np.int32(2)), plain.fit(2))
+        assert numpy_ints.select(np.uint8(3)) == plain.select(3)
+    assert_same_fit(scgoma(r, np.int64(3)), scgoma(r, 3))
+    assert_same_fit(rmsp(r, np.int16(3)), rmsp(r, 3))
+
+
+def test_unknown_estimator_name_is_a_config_error():
+    r = np.random.default_rng(4).random((30, 20))
+    assert issubclass(ConfigError, ValueError) and issubclass(DimensionError, ValueError)
+    with pytest.raises(ConfigError, match="unknown estimator 'bogus'"):
+        _sweep_fitter(r, "bogus", 3)
+    with pytest.raises(ConfigError):
+        ClassCountSweep(r, "bogus")
+    with pytest.raises(ConfigError):
+        select_k(r, "bogus", 3)

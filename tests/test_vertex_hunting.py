@@ -1,11 +1,16 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wgom import DimensionError, RankDeficiencyError, successive_projection
+from wgom import vertex_hunting
+from wgom.vertex_hunting import _projection_prefix
 
-from helpers import block_pi
+from helpers import block_pi, random_row_stochastic, spa_oracle
 
 
 def test_orthonormal_corners_selected_in_index_order():
@@ -94,3 +99,147 @@ def test_exact_recovery_on_simulated_simplex():
     classes = {int(np.argmax(pi[i])) for i in selected}
     assert all(pi[i].max() == 1.0 for i in selected)
     assert classes == {0, 1, 2}
+
+
+INPUT_KINDS = ("separable", "noisy", "bernoulli", "binomial", "duplicates", "near_deficient")
+
+
+def spa_input(kind, seed, n, d, rank):
+    """An n x d test matrix of one kind: a separable simplex, the same plus
+    noise, integer responses with many exact norm ties, duplicated rows, or a
+    rank-``rank`` matrix plus a perturbation far above rounding and far below
+    its spectrum."""
+    rng = np.random.default_rng(seed)
+    corners = rng.standard_normal((rank, d)) + 2.0
+    pi = np.vstack([np.eye(rank), random_row_stochastic(rng, n - rank, rank)])
+    if kind == "separable":
+        return pi @ corners
+    if kind == "noisy":
+        return pi @ corners + 0.1 * rng.standard_normal((n, d))
+    if kind == "bernoulli":
+        return (rng.random((n, d)) < 0.4).astype(float)
+    if kind == "binomial":
+        return rng.binomial(3, 0.5, (n, d)).astype(float)
+    if kind == "duplicates":
+        rows = pi @ corners
+        return rows[rng.integers(0, n, n)]
+    return pi @ corners + 1e-8 * rng.standard_normal((n, d))
+
+
+def left_factor(rows):
+    """The top-min(15, n, d) left singular vectors: the rows scgoma searches."""
+    u, _, _ = np.linalg.svd(rows, full_matrices=False)
+    return np.ascontiguousarray(u[:, : min(15, *rows.shape)])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(INPUT_KINDS),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(6, 60),
+    d=st.integers(2, 20),
+    rank=st.integers(1, 6),
+    on_left_factor=st.booleans(),
+    k_extra=st.integers(0, 4),
+)
+def test_downdated_search_matches_residual_oracle(kind, seed, n, d, rank, on_left_factor, k_extra):
+    rank = min(rank, n, d)
+    rows = spa_input(kind, seed, n, d, rank)
+    if on_left_factor:
+        rows = left_factor(rows)
+    k = min(rank + k_extra, *rows.shape)
+    vertices, failure = _projection_prefix(rows, k)
+    want, want_failure = spa_oracle(rows, k)
+    assert vertices.tolist() == want.tolist()
+    assert (failure is None) == (want_failure is None)
+    if failure is not None:
+        assert failure.split()[0] == want_failure.split()[0]
+
+
+def test_exact_rank_input_stops_after_its_rank():
+    rng = np.random.default_rng(4)
+    rows = random_row_stochastic(rng, 40, 3) @ rng.standard_normal((3, 10))
+    rows[:3] = rng.standard_normal((3, 3)) @ rows[3:6]
+    vertices, failure = _projection_prefix(rows, 6)
+    assert len(vertices) == 3
+    assert failure.startswith("residual vanished after 3 of 6 selections")
+    assert vertices.tolist() == spa_oracle(rows, 6)[0].tolist()
+    with pytest.raises(RankDeficiencyError, match="after 3 of 6"):
+        successive_projection(rows, 6)
+    assert successive_projection(rows, 3).tolist() == vertices.tolist()
+
+
+@pytest.mark.parametrize("last, picked", [(1.5e-12, 3), (0.5e-12, 2)])
+def test_vanishing_threshold_reads_the_last_residual(last, picked):
+    # Three orthogonal directions of lengths 1, 0.5 and ``last`` in a random
+    # rotation, plus mixtures of the first two: the third pick's residual is
+    # ``last`` up to rounding near 1e-16.
+    rng = np.random.default_rng(5)
+    rotation, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    axes = np.diag([1.0, 0.5, last]) @ rotation[:3]
+    rows = np.vstack([axes, random_row_stochastic(rng, 12, 2) @ axes[:2]])
+    vertices, failure = _projection_prefix(rows, 3)
+    assert vertices.tolist() == [0, 1, 2][:picked]
+    assert (failure is None) == (picked == 3)
+    assert spa_oracle(rows, 3)[0].tolist() == vertices.tolist()
+
+
+def recompute_sizes(monkeypatch):
+    """Row counts of each exact recompute made by the search, in order."""
+    sizes = []
+    exact = vertex_hunting._exact_residuals
+
+    def spy(rows, basis):
+        sizes.append(len(rows))
+        return exact(rows, basis)
+
+    monkeypatch.setattr(vertex_hunting, "_exact_residuals", spy)
+    return sizes
+
+
+def test_near_duplicate_rows_trigger_the_exact_recompute(monkeypatch):
+    # Mixtures of three corners plus a copy of corner 0 moved by 1e-9: the
+    # fourth pick's true residual (about 1e-9) lies far below the rounding of
+    # the downdated norms (about 1e-16 of |x|^2 = 1e-8 in norm), so only the
+    # recompute of every row can find it.
+    rng = np.random.default_rng(6)
+    corners = rng.standard_normal((3, 5)) + 2.0
+    rows = np.vstack([corners, random_row_stochastic(rng, 20, 3) @ corners, corners[:1]])
+    rows[-1] += 1e-9 * rng.standard_normal(5)
+    sizes = recompute_sizes(monkeypatch)
+    vertices, failure = _projection_prefix(rows, 4)
+    assert failure is None
+    assert vertices.tolist() == spa_oracle(rows, 4)[0].tolist()
+    assert sorted(vertices.tolist()) == [0, 1, 2, len(rows) - 1]
+    assert sizes[-1] == len(rows)
+
+
+def test_well_separated_picks_recompute_only_the_picked_row(monkeypatch):
+    rows = np.random.default_rng(7).standard_normal((50, 10))
+    sizes = recompute_sizes(monkeypatch)
+    vertices, _ = _projection_prefix(rows, 8)
+    assert sizes == [1] * 7
+    assert vertices.tolist() == spa_oracle(rows, 8)[0].tolist()
+
+
+def test_search_holds_no_residual_copy():
+    rows = np.random.default_rng(8).standard_normal((400, 300))
+    tracemalloc.start()
+    try:
+        _projection_prefix(rows, 15)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * rows.nbytes
+
+
+@pytest.mark.parametrize("k", [True, 2.0, 2.5, "2", None])
+def test_non_integer_pick_count_is_a_dimension_error(k):
+    with pytest.raises(DimensionError):
+        _projection_prefix(np.eye(3), k)
+    with pytest.raises(ValueError):
+        successive_projection(np.eye(3), k)
+
+
+def test_numpy_integer_pick_count_passes():
+    assert successive_projection(np.eye(3), np.int64(2)).tolist() == [0, 1]
