@@ -16,13 +16,11 @@ sweep; ``modularity.ClassCountSweep`` caches the fits of a longer one.
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 from .errors import ConfigError, DegenerateRankError, DimensionError, RankDeficiencyError
 from .linalg import TruncatedSVD, _decompose, _leading, solve_small_inverse
-from .types import EstimationResult, MembershipMatrix, _is_count, response_array
+from .types import EstimationResult, MembershipMatrix, _check_seed, _is_count, response_array
 from .vertex_hunting import _projection_prefix, successive_projection
 
 METHODS = ("scgoma", "rmsp")
@@ -164,29 +162,26 @@ def _sweep_fitter(r: np.ndarray, estimator, k_max: int, *, seed: int = 0):
     response array ``r`` (as ``response_array`` returns it).
 
     Returns ``fit(k) -> EstimationResult``, which raises what the estimator
-    raises at k.  ``estimator`` is a name in ``METHODS`` or a callable
-    ``(responses, k) -> EstimationResult``, which is called once per k.
-
-    The built-in estimators decompose R once per sweep.  ``"scgoma"`` fits k
-    on the first k triplets of one top-k_max SVD seeded with ``seed``; the
-    spectrum check stays per k, on that prefix.  For k_max <= 15 this equals
-    ``scgoma(R, k, seed=seed)`` exactly, since every k <= 15 takes the same
-    SVD path and the same 25-column sketch.  For k_max > 15 the sweep
-    sketches k_max + 10 columns (or goes dense where a single fit would
-    sketch 25), so where a single fit is randomized the two agree only up to
-    the sketch's accuracy.  ``"rmsp"`` gives k the first k picks of one
+    raises at k.  ``estimator`` is a name in ``METHODS``, and R is decomposed
+    once per sweep.  ``"scgoma"`` fits k on the first k triplets of one
+    top-k_max SVD seeded with ``seed``; the spectrum check stays per k, on
+    that prefix.  For k_max <= 15 this equals ``scgoma(R, k, seed=seed)``
+    exactly, since every k <= 15 takes the same SVD path and the same
+    25-column sketch.  For k_max > 15 the sweep sketches k_max + 10 columns
+    (or goes dense where a single fit would sketch 25), so where a single fit
+    is randomized the two agree only up to the sketch's accuracy.  ``"rmsp"`` gives k the first k picks of one
     k_max-pick vertex search, which are exactly the picks of a k-pick
     search, since the search is greedy; if that search stops after t picks,
     every k > t raises ``RankDeficiencyError``.
 
     Raises ``DimensionError`` if k_max is not an integer (a bool is not) in
-    [1, min(N, J)], and ``ConfigError`` for an unknown method name.
+    [1, min(N, J)], and ``ConfigError`` for an unknown method name or a seed
+    that is not an integer >= 0.
     """
     if not (_is_count(k_max) and 1 <= k_max <= min(r.shape)):
         raise DimensionError(f"k={k_max!r} outside [1, min(N, J)] = [1, {min(r.shape)}]")
-    if callable(estimator):
-        return partial(estimator, r)
-    if estimator not in METHODS:
+    _check_seed(seed)
+    if not isinstance(estimator, str) or estimator not in METHODS:
         raise ConfigError(f"unknown estimator {estimator!r}; expected one of {METHODS}")
     if estimator == "scgoma":
         factors = _decompose(r, k_max, seed=seed)

@@ -1,14 +1,14 @@
 """Numerical kernels: truncated SVD and small-matrix inversion.
 
-The top-k SVD has two paths.  The randomized one is a seeded range finder
-with four orthonormalized power iterations (Halko, Martinsson & Tropp 2011)
-that sketches ell = min(max(k + 10, 25), min(N, J)) columns.  Every k <= 15
-thus draws the same 25-column sketch for a given seed, and its top-k factors
-are exactly the leading k of the top-15 ones.  The dense path is the full
-thin SVD.  ``method="auto"`` takes it only where the sketch would cover half
-of min(N, J) or more (2 ell >= min(N, J)), which for k <= 15 means
-min(N, J) <= 50.  There a sketch saves no time and its singular values drift
-measurably from the exact ones (4e-8 on a 50 x 30 Gaussian matrix at k = 5).
+The top-k SVD follows one rule.  It is the full thin SVD where a sketch of
+ell = min(max(k + 10, 25), min(N, J)) columns would cover half of min(N, J)
+or more (2 ell >= min(N, J)), which for k <= 15 means min(N, J) <= 50.  There
+a sketch saves no time and its singular values drift measurably from the
+exact ones (4e-8 on a 50 x 30 Gaussian matrix at k = 5).  Everywhere else it
+is a seeded range finder on that sketch with four orthonormalized power
+iterations (Halko, Martinsson & Tropp 2011).  Every k <= 15 thus takes the
+same path, and on the randomized one draws the same 25-column sketch for a
+given seed, so its top-k factors are exactly the leading k of the top-15 ones.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateRankError, DimensionError
+from .types import _check_seed, _is_count
 
 SKETCH_MIN_WIDTH = 25
 SKETCH_OVERSAMPLE = 10
@@ -60,8 +61,12 @@ def _check_spectrum(s: np.ndarray, k: int) -> None:
         )
 
 
-def top_k_svd(matrix, k: int, *, seed: int = 0, method: str = "auto") -> TruncatedSVD:
+def top_k_svd(matrix, k: int, *, seed: int = 0) -> TruncatedSVD:
     """Top-k singular value decomposition of a dense real matrix.
+
+    Dense (the full thin SVD) when the randomized sketch of
+    min(max(k + 10, 25), min(N, J)) columns would cover half of min(N, J) or
+    more, randomized otherwise.
 
     Parameters
     ----------
@@ -69,42 +74,33 @@ def top_k_svd(matrix, k: int, *, seed: int = 0, method: str = "auto") -> Truncat
     k : int
         Number of leading singular triplets, 1 <= k <= min(N, J).
     seed : int
-        Seed for the randomized path; ignored by the dense path.
-    method : {"auto", "dense", "randomized"}
-        "auto" picks dense when the randomized sketch of
-        min(max(k + 10, 25), min(N, J)) columns would cover half of
-        min(N, J) or more, randomized otherwise.
+        Seed for the randomized path; an integer >= 0 on either path.
 
     Raises
     ------
     DimensionError
-        If k exceeds min(N, J).
+        If k is not an integer (a bool is not) in [1, min(N, J)].
+    ConfigError
+        If seed is not an integer >= 0 (a bool is not).
     DegenerateRankError
         If sigma_k < 1e-12 * sigma_1 (numerically rank deficient).
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2:
         raise DimensionError(f"expected a 2-d matrix, got ndim={a.ndim}")
-    n, m = a.shape
-    if not 1 <= k <= min(n, m):
-        raise DimensionError(f"k={k} outside [1, min(N, J)] = [1, {min(n, m)}]")
-    if method not in ("auto", "dense", "randomized"):
-        raise ValueError(f"unknown method {method!r}")
-    return _leading(*_decompose(a, k, seed=seed, method=method), k)
+    side = min(a.shape)
+    if not (_is_count(k) and 1 <= k <= side):
+        raise DimensionError(f"k={k!r} outside [1, min(N, J)] = [1, {side}]")
+    _check_seed(seed)
+    return _leading(*_decompose(a, k, seed=seed), k)
 
 
-def _decompose(a: np.ndarray, k: int, *, seed: int = 0, method: str = "auto"):
-    """Unchecked ``(u, s, vt)`` holding at least the top-k triplets of ``a``.
-
-    The dense path returns the full thin SVD.  The randomized path sketches
-    ``_sketch_width(k, min(N, J))`` columns, 25 for every k <= 15, and
-    ``"auto"`` chooses by that width, so for a given seed every k <= 15 gets
-    the same path and the same leading triplets.
-    """
-    if method == "auto":
-        side = min(a.shape)
-        method = "dense" if 2 * _sketch_width(k, side) >= side else "randomized"
-    if method == "dense":
+def _decompose(a: np.ndarray, k: int, *, seed: int = 0):
+    """Unchecked ``(u, s, vt)`` holding at least the top-k triplets of ``a``,
+    by the module's one rule: for a given seed every k <= 15 gets the same
+    path and the same leading triplets."""
+    side = min(a.shape)
+    if 2 * _sketch_width(k, side) >= side:
         return np.linalg.svd(a, full_matrices=False)
     return _randomized_svd(a, k, seed=seed)
 

@@ -64,7 +64,7 @@ def accuracy_rate(k_hats, k_true: int) -> float:
     """Fraction of estimates equal to the true class count."""
     k_hats = list(k_hats)
     if not k_hats:
-        raise ValueError("empty list of class-count estimates")
+        raise DimensionError("empty list of class-count estimates")
     return sum(1 for k in k_hats if k == k_true) / len(k_hats)
 
 

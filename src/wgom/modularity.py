@@ -94,11 +94,10 @@ class ClassCountSweep:
     """The fits of a class-count sweep over k = 1..k_max, each computed once on
     first use, and the k among them whose memberships maximize modularity.
 
-    ``estimator`` is ``"scgoma"``, ``"rmsp"``, or any callable
-    ``(responses, k) -> EstimationResult``, which is called once per k.  The
-    constructor checks R (``DimensionError`` unless k_max is an integer in
-    [1, min(N, J)], ``ConfigError`` for an unknown name) and decomposes it
-    once for the built-in estimators: ``"scgoma"`` fits every k from one
+    ``estimator`` is ``"scgoma"`` or ``"rmsp"``.  The constructor checks R
+    (``DimensionError`` unless k_max is an integer in [1, min(N, J)],
+    ``ConfigError`` for any other estimator or a seed that is not an
+    integer >= 0) and decomposes it once: ``"scgoma"`` fits every k from one
     top-k_max SVD seeded with ``seed`` and ``"rmsp"`` from one k_max-pick
     successive-projection pass.  Each fit then equals the single-k
     ``scgoma``/``rmsp`` fit exactly, except ``"scgoma"`` with k_max > 15 where

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -47,6 +47,12 @@ def _checked_matrix(values, name: str) -> np.ndarray:
 def _is_count(value) -> bool:
     """Whether ``value`` may be a class count: a Python or numpy integer, not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_seed(seed) -> None:
+    """``ConfigError`` unless ``seed`` is a Python or numpy integer >= 0 (a bool is not)."""
+    if not (_is_count(seed) and seed >= 0):
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 def _frozen_copy(values, name: str) -> np.ndarray:
@@ -184,9 +190,9 @@ class EstimationResult:
 
     membership_hat: MembershipMatrix
     item_params_hat: np.ndarray
-    pure_index_set: list = field(default_factory=list)
-    singular_values: Optional[np.ndarray] = None
-    n_clamped_rows: int = 0
+    pure_index_set: list
+    singular_values: np.ndarray
+    n_clamped_rows: int
 
 
 def membership_array(membership) -> np.ndarray:

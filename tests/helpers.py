@@ -2,12 +2,17 @@
 
 Everything here is deliberately naive (enumeration, double loops, full
 decompositions) and built from numpy primitives only, so it cannot share a
-failure mode with the library paths it checks.
+failure mode with the library paths it checks.  The exception is
+``select_by_single_fits``, which checks the class-count sweep against the
+library's own single fits.
 """
 
 import itertools
 
 import numpy as np
+
+from wgom import DegenerateRankError, DimensionError, RankDeficiencyError, modularity, rmsp, scgoma
+from wgom.types import response_array
 
 
 def brute_hamming(pi_hat, pi_true) -> float:
@@ -121,3 +126,17 @@ def spa_oracle(rows, k):
         residual -= np.outer(residual @ direction, direction)
 
     return chosen, None
+
+
+def select_by_single_fits(responses, method, k_max, *, seed=0):
+    """``select_k``'s ``(k_hat, curve)`` from a separate ``scgoma``/``rmsp`` fit
+    at each k, skipping the k that fail and scoring the rest together."""
+    r = response_array(responses)
+    fitted = {}
+    for k in range(1, k_max + 1):
+        try:
+            fitted[k] = (scgoma(r, k, seed=seed) if method == "scgoma" else rmsp(r, k)).membership_hat
+        except (DegenerateRankError, RankDeficiencyError, DimensionError):
+            continue
+    curve = list(zip(fitted, modularity._scores(r, fitted.values())))
+    return max(curve, key=lambda point: (point[1], -point[0]))[0], curve

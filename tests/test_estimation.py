@@ -271,7 +271,24 @@ def test_unknown_estimator_name_is_a_config_error():
     assert issubclass(ConfigError, ValueError) and issubclass(DimensionError, ValueError)
     with pytest.raises(ConfigError, match="unknown estimator 'bogus'"):
         _sweep_fitter(r, "bogus", 3)
-    with pytest.raises(ConfigError):
-        ClassCountSweep(r, "bogus")
-    with pytest.raises(ConfigError):
-        select_k(r, "bogus", 3)
+    for estimator in ("bogus", lambda responses, k: scgoma(responses, k)):
+        with pytest.raises(ConfigError):
+            ClassCountSweep(r, estimator)
+        with pytest.raises(ConfigError):
+            select_k(r, estimator, 3)
+    # A seed is an integer >= 0 on either SVD path (30 x 20 is dense, 120 x 60
+    # randomized) and for rmsp, which does not use it.
+    wide = np.random.default_rng(5).random((120, 60))
+    for seed in (-1, 1.5, 2.0, True, "3", None):
+        for values in (r, wide):
+            for call in (
+                lambda: scgoma(values, 3, seed=seed),
+                lambda: select_k(values, "scgoma", 4, seed=seed),
+                lambda: ClassCountSweep(values, "rmsp", 4, seed=seed),
+                lambda: top_k_svd(values, 3, seed=seed),
+            ):
+                with pytest.raises(ConfigError, match="seed must be"):
+                    call()
+    for seed in (np.int64(5), np.uint32(5)):
+        assert_same_fit(scgoma(wide, 3, seed=seed), scgoma(wide, 3, seed=5))
+        assert select_k(wide, "scgoma", 4, seed=seed) == select_k(wide, "scgoma", 4, seed=5)

@@ -3,9 +3,17 @@ import pytest
 import scipy.linalg
 
 from wgom import DegenerateRankError, DimensionError, solve_small_inverse, top_k_svd
-from wgom.linalg import _randomized_svd
+from wgom.linalg import _leading, _randomized_svd
 
 from helpers import block_pi
+
+
+def dense(a, k):
+    return _leading(*np.linalg.svd(a, full_matrices=False), k)
+
+
+def randomized(a, k, seed):
+    return _leading(*_randomized_svd(a, k, seed=seed), k)
 
 
 def test_diagonal_matrix_singular_values():
@@ -70,23 +78,23 @@ def test_sign_convention_is_deterministic():
 def test_randomized_path_matches_dense():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((300, 150)) @ np.diag(0.7 ** np.arange(150))
-    dense = top_k_svd(a, 8, method="dense")
-    randomized = top_k_svd(a, 8, method="randomized", seed=42)
-    rel = np.abs(randomized.singulars - dense.singulars) / dense.singulars
+    exact = np.linalg.svd(a, compute_uv=False)[:8]
+    sketched = randomized(a, 8, seed=42)
+    rel = np.abs(sketched.singulars - exact) / exact
     assert rel.max() <= 1e-6
     # Same seed, same factors.
-    again = top_k_svd(a, 8, method="randomized", seed=42)
-    assert np.array_equal(randomized.left, again.left)
+    again = randomized(a, 8, seed=42)
+    assert np.array_equal(sketched.left, again.left)
 
 
 @pytest.mark.parametrize("k, n, dense_side", [(3, 60, 50), (20, 80, 60)])
 def test_auto_switches_path_where_the_sketch_covers_half_the_min_side(k, n, dense_side):
     # The sketch has max(k + 10, 25) columns: 25 at k = 3, 30 at k = 20.
     rng = np.random.default_rng(k)
-    for side, method in ((dense_side, "dense"), (dense_side + 1, "randomized")):
+    for side, dense_path in ((dense_side, True), (dense_side + 1, False)):
         a = rng.standard_normal((n, side))
         auto = top_k_svd(a, k, seed=7)
-        pinned = top_k_svd(a, k, seed=7, method=method)
+        pinned = dense(a, k) if dense_path else randomized(a, k, seed=7)
         for got, want in zip(
             (auto.left, auto.singulars, auto.right),
             (pinned.left, pinned.singulars, pinned.right),
@@ -96,13 +104,13 @@ def test_auto_switches_path_where_the_sketch_covers_half_the_min_side(k, n, dens
 
 def test_one_sketch_serves_every_k_up_to_15():
     a = np.random.default_rng(8).standard_normal((90, 70))
-    top = top_k_svd(a, 15, method="randomized", seed=3)
+    top = randomized(a, 15, seed=3)
     for k in (1, 5, 14):
-        svd = top_k_svd(a, k, method="randomized", seed=3)
+        svd = randomized(a, k, seed=3)
         assert np.array_equal(svd.left, top.left[:, :k])
         assert np.array_equal(svd.singulars, top.singulars[:k])
     # Above 15 the sketch widens with k, so the factors differ.
-    wider = top_k_svd(a, 16, method="randomized", seed=3)
+    wider = randomized(a, 16, seed=3)
     assert not np.array_equal(wider.left[:, :15], top.left)
 
 
@@ -115,8 +123,9 @@ def test_randomized_internal_shapes():
 
 
 def test_dimension_and_degeneracy_errors():
-    with pytest.raises(DimensionError):
-        top_k_svd(np.eye(3), 4)
+    for k in (4, 0, 2.0, True, "2"):
+        with pytest.raises(DimensionError):
+            top_k_svd(np.eye(3), k)
     with pytest.raises(DegenerateRankError):
         top_k_svd(np.zeros((4, 4)), 1)
     rank1 = np.outer(np.arange(1.0, 5.0), np.ones(3))

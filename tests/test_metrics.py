@@ -82,6 +82,8 @@ def test_accuracy_rate():
     assert accuracy_rate([3, 3, 3], 3) == 1.0
     assert accuracy_rate([1, 2, 4], 3) == 0.0
     assert accuracy_rate([3] * 18 + [2, 4], 3) == pytest.approx(0.9)
+    with pytest.raises(DimensionError):
+        accuracy_rate([], 3)
     with pytest.raises(ValueError):
         accuracy_rate([], 3)
 

@@ -147,26 +147,15 @@ def test_constant_matrix_falls_back_to_one_class():
     assert curve == [(1, 0.0)]
 
 
-def test_ties_break_to_smallest_k():
-    calls = []
-
-    def fake_estimator(responses, k):
-        calls.append(k)
-        from wgom import EstimationResult, MembershipMatrix
-
-        n = responses.shape[0]
-        rows = np.full((n, k), 1.0 / k)
-        return EstimationResult(
-            membership_hat=MembershipMatrix(rows),
-            item_params_hat=np.zeros((responses.shape[1], k)),
-        )
-
-    # An empty similarity graph scores exactly 0.0 at every k, so the argmax
-    # is a pure tie and must resolve to the smallest k.
-    k_hat, curve = select_k(np.zeros((10, 8)), fake_estimator, k_max=4)
-    assert k_hat == 1
-    assert calls == [1, 2, 3, 4]
-    assert [q for _, q in curve] == [0.0, 0.0, 0.0, 0.0]
+def test_ties_break_to_smallest_k(monkeypatch):
+    # Every k scores exactly 0.0, so the argmax is a pure tie and must
+    # resolve to the smallest k.
+    monkeypatch.setattr(modularity, "_scores", lambda r, memberships: [0.0] * len(memberships))
+    r = np.random.default_rng(11).random((30, 20))
+    for estimator in ("scgoma", "rmsp"):
+        k_hat, curve = select_k(r, estimator, k_max=4)
+        assert k_hat == 1
+        assert curve == [(1, 0.0), (2, 0.0), (3, 0.0), (4, 0.0)]
 
 
 def test_select_k_skips_failing_ks():

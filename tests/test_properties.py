@@ -35,7 +35,7 @@ from wgom import modularity
 from wgom.cli import main
 from wgom.experiments import CONFIG_KEYS
 
-from helpers import modularity_double_sum, random_row_stochastic
+from helpers import modularity_double_sum, random_row_stochastic, select_by_single_fits
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 ESTIMATORS = (scgoma, rmsp)
@@ -146,14 +146,8 @@ def test_caller_arrays_are_not_mutated(noisy_k, model):
         assert np.array_equal(array, original) and array.flags.writeable
 
 
-# select_k fits the built-in estimators from one decomposition per sweep; a
-# callable estimator is fitted per k and is the reference.
-def per_k(method, seed):
-    if method == "scgoma":
-        return lambda values, k: scgoma(values, k, seed=seed)
-    return rmsp
-
-
+# select_k fits every k from one decomposition per sweep; separate single
+# fits at each k are the reference.
 @SETTINGS
 @given(
     r=st.one_of(noisy.map(lambda rk: rk[0]), models.map(lambda model: model[2])),
@@ -163,7 +157,7 @@ def per_k(method, seed):
 )
 def test_select_k_sweep_equals_per_k_fits_on_dense_path(r, k_max, method, seed):
     k_max = min(k_max, *r.shape)
-    assert select_k(r, method, k_max, seed=seed) == select_k(r, per_k(method, seed), k_max)
+    assert select_k(r, method, k_max, seed=seed) == select_by_single_fits(r, method, k_max, seed=seed)
 
 
 def test_select_k_sweep_on_randomized_path():
@@ -174,7 +168,7 @@ def test_select_k_sweep_on_randomized_path():
     r, _ = sample_response(spec, rng)
     k_hat, curve = select_k(r, "scgoma", 6, seed=4)
     assert k_hat == 3
-    assert (k_hat, curve) == select_k(r, per_k("scgoma", 4), 6)
+    assert (k_hat, curve) == select_by_single_fits(r, "scgoma", 6, seed=4)
 
 
 # Min side 51-80 with k_max <= 15: the smallest inputs on the randomized path.
@@ -192,7 +186,7 @@ def test_select_k_sweep_equals_per_k_fits_on_randomized_path(seed, k, side, extr
     if not tall:
         r = r.T.copy()
     assert min(r.shape) == side
-    assert select_k(r, "scgoma", k_max, seed=seed) == select_k(r, per_k("scgoma", seed), k_max)
+    assert select_k(r, "scgoma", k_max, seed=seed) == select_by_single_fits(r, "scgoma", k_max, seed=seed)
 
 
 def signed_responses(seed, kind, n, j):
