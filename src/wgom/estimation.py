@@ -10,11 +10,17 @@ rank exactly K and then run the matching estimator, which recovers it exactly.
 ``_sweep_fitter`` is the one route from a method name in ``METHODS`` and a K to
 a fit.  It fits every K of a class-count sweep on an already checked R from one
 decomposition: one top-K_max SVD for ``scgoma``, one K_max-pick vertex search
-for ``rmsp``.  A single fit, oracles included, is the K-th fit of a one-K
-sweep; ``modularity.ClassCountSweep`` caches the fits of a longer one.
+for ``rmsp``.  Each fit has two stages.  The membership stage (vertex search,
+clamped simplex weights, row normalization) gives all that modularity scoring
+reads; the finishing stage (item regression, the singular values of the
+inverted system, the frozen ``EstimationResult``) runs only for a fit that is
+asked for.  A single fit, oracles included, is the K-th fit of a one-K sweep;
+``modularity.ClassCountSweep`` caches both stages of a longer one.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +32,18 @@ from .vertex_hunting import _projection_prefix, successive_projection
 METHODS = ("scgoma", "rmsp")
 IDEAL_RANK_RTOL = 1e-10
 IDEAL_EXTRA_RANK_RTOL = 1e-8
+
+
+class _Memberships(NamedTuple):
+    """The membership stage of a fit at k: the row-normalized memberships
+    ``pi``, all that modularity scoring reads, and what finishing needs."""
+
+    pi: np.ndarray
+    n_clamped_rows: int
+    vertices: np.ndarray
+    # The rank-k system the fit inverted: scgoma's top-k TruncatedSVD of R,
+    # rmsp's vertex rows R[I].
+    system: TruncatedSVD | np.ndarray
 
 
 def _normalize_clamped(z: np.ndarray, k: int) -> tuple[np.ndarray, int]:
@@ -75,7 +93,7 @@ def _ideal_fit(expected, method: str, k: int) -> tuple[MembershipMatrix, np.ndar
     if not _is_count(k):
         raise DimensionError(f"k={k!r} is not an integer")
     _check_exact_rank(r0, k)
-    result = _sweep_fitter(r0, method, k)(k)
+    result = _single_fit(r0, method, k)
     return result.membership_hat, result.item_params_hat
 
 
@@ -113,21 +131,20 @@ def scgoma(responses, k: int, *, seed: int = 0) -> EstimationResult:
     DimensionError
         If k exceeds min(N, J).
     """
-    return _sweep_fitter(response_array(responses), "scgoma", k, seed=seed)(k)
+    return _single_fit(response_array(responses), "scgoma", k, seed=seed)
 
 
-def _scgoma_fit(r: np.ndarray, svd: TruncatedSVD) -> EstimationResult:
+def _scgoma_fit(r: np.ndarray, svd: TruncatedSVD) -> _Memberships:
     vertices = successive_projection(svd.left, svd.k)
     pi, n_clamped, _ = _simplex_memberships(svd.left, vertices)
+    return _Memberships(pi, n_clamped, vertices, svd)
+
+
+def _scgoma_finish(fit: _Memberships) -> EstimationResult:
+    svd = fit.system
     # Rank-k reconstruction target, never materialized: Rhat' Pi = V Sigma (U' Pi).
-    theta = _item_regression((svd.right * svd.singulars) @ (svd.left.T @ pi), pi)
-    return EstimationResult(
-        membership_hat=MembershipMatrix(pi),
-        item_params_hat=theta,
-        pure_index_set=vertices.tolist(),
-        singular_values=svd.singulars,
-        n_clamped_rows=n_clamped,
-    )
+    theta = _item_regression((svd.right * svd.singulars) @ (svd.left.T @ fit.pi), fit.pi)
+    return _result(fit, theta, svd.singulars)
 
 
 def ideal_rmsp(expected, k: int) -> tuple[MembershipMatrix, np.ndarray]:
@@ -142,37 +159,55 @@ def rmsp(responses, k: int) -> EstimationResult:
     R[I] (the rank-k system inverted here).  Errors mirror ``scgoma``; an
     all-zero response matrix surfaces as a vertex-search rank deficiency.
     """
-    return _sweep_fitter(response_array(responses), "rmsp", k)(k)
+    return _single_fit(response_array(responses), "rmsp", k)
 
 
-def _rmsp_fit(r: np.ndarray, vertices: np.ndarray) -> EstimationResult:
+def _rmsp_fit(r: np.ndarray, vertices: np.ndarray) -> _Memberships:
     pi, n_clamped, corners = _simplex_memberships(r, vertices)
-    theta = _item_regression(r.T @ pi, pi)
+    return _Memberships(pi, n_clamped, vertices, corners)
+
+
+def _rmsp_finish(r: np.ndarray, fit: _Memberships) -> EstimationResult:
+    theta = _item_regression(r.T @ fit.pi, fit.pi)
+    return _result(fit, theta, np.linalg.svd(fit.system, compute_uv=False))
+
+
+def _result(fit: _Memberships, theta: np.ndarray, singular_values: np.ndarray) -> EstimationResult:
     return EstimationResult(
-        membership_hat=MembershipMatrix(pi),
+        membership_hat=MembershipMatrix(fit.pi),
         item_params_hat=theta,
-        pure_index_set=vertices.tolist(),
-        singular_values=np.linalg.svd(corners, compute_uv=False),
-        n_clamped_rows=n_clamped,
+        pure_index_set=fit.vertices.tolist(),
+        singular_values=singular_values,
+        n_clamped_rows=fit.n_clamped_rows,
     )
 
 
-def _sweep_fitter(r: np.ndarray, estimator, k_max: int, *, seed: int = 0):
-    """The per-k fit of a class-count sweep over k = 1..k_max on the checked
-    response array ``r`` (as ``response_array`` returns it).
+def _single_fit(r: np.ndarray, method: str, k: int, *, seed: int = 0) -> EstimationResult:
+    """The finished K-th fit of a one-K sweep: what every single fit returns."""
+    memberships, finish = _sweep_fitter(r, method, k, seed=seed)
+    return finish(memberships(k))
 
-    Returns ``fit(k) -> EstimationResult``, which raises what the estimator
-    raises at k.  ``estimator`` is a name in ``METHODS``, and R is decomposed
-    once per sweep.  ``"scgoma"`` fits k on the first k triplets of one
-    top-k_max SVD seeded with ``seed``; the spectrum check stays per k, on
-    that prefix.  For k_max <= 15 this equals ``scgoma(R, k, seed=seed)``
-    exactly, since every k <= 15 takes the same SVD path and the same
-    25-column sketch.  For k_max > 15 the sweep sketches k_max + 10 columns
-    (or goes dense where a single fit would sketch 25), so where a single fit
-    is randomized the two agree only up to the sketch's accuracy.  ``"rmsp"`` gives k the first k picks of one
-    k_max-pick vertex search, which are exactly the picks of a k-pick
-    search, since the search is greedy; if that search stops after t picks,
-    every k > t raises ``RankDeficiencyError``.
+
+def _sweep_fitter(r: np.ndarray, estimator, k_max: int, *, seed: int = 0):
+    """The two stages of each fit of a class-count sweep over k = 1..k_max on
+    the checked response array ``r`` (as ``response_array`` returns it).
+
+    Returns ``(memberships, finish)``.  ``memberships(k)`` runs the membership
+    stage at k and raises what the estimator raises there; its ``pi`` is all
+    that modularity scoring reads, so selecting a class count calls only
+    this.  ``finish(memberships(k))`` runs the item regression and builds the
+    ``EstimationResult``, only for the fits someone asks for.  ``estimator``
+    is a name in ``METHODS``, and R is decomposed once per sweep.
+    ``"scgoma"`` fits k on the first k triplets of one top-k_max SVD seeded
+    with ``seed``; the spectrum check stays per k, on that prefix.  For
+    k_max <= 15 this equals ``scgoma(R, k, seed=seed)`` exactly, since every
+    k <= 15 takes the same SVD path and the same 25-column sketch.  For
+    k_max > 15 the sweep sketches k_max + 10 columns (or goes dense where a
+    single fit would sketch 25), so where a single fit is randomized the two
+    agree only up to the sketch's accuracy.  ``"rmsp"`` gives k the first k
+    picks of one k_max-pick vertex search, which are exactly the picks of a
+    k-pick search, since the search is greedy; if that search stops after t
+    picks, every k > t raises ``RankDeficiencyError``.
 
     Raises ``DimensionError`` if k_max is not an integer (a bool is not) in
     [1, min(N, J)], and ``ConfigError`` for an unknown method name or a seed
@@ -185,12 +220,12 @@ def _sweep_fitter(r: np.ndarray, estimator, k_max: int, *, seed: int = 0):
         raise ConfigError(f"unknown estimator {estimator!r}; expected one of {METHODS}")
     if estimator == "scgoma":
         factors = _decompose(r, k_max, seed=seed)
-        return lambda k: _scgoma_fit(r, _leading(*factors, k))
+        return (lambda k: _scgoma_fit(r, _leading(*factors, k))), _scgoma_finish
     vertices, failure = _projection_prefix(r, k_max)
 
-    def fit(k):
+    def memberships(k):
         if k > len(vertices):
             raise RankDeficiencyError(f"k={k} needs {k} vertices: {failure}")
         return _rmsp_fit(r, vertices[:k])
 
-    return fit
+    return memberships, lambda fit: _rmsp_finish(r, fit)

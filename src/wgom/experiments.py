@@ -291,8 +291,9 @@ def run_experiment(
     matrix R, estimate at the true class count k, score the permutation-
     matched errors, and select the class count by modularity for the accuracy
     rate.  A replicate decomposes R once: one ``ClassCountSweep`` up to
-    max(k, k_max') with k_max' = min(k_max, N, J) gives the true-k estimate
-    and every fit its ``select(k_max')`` scores.  ``mean_runtime_seconds``
+    max(k, k_max') with k_max' = min(k_max, N, J) gives the true-k estimate,
+    the one fit it finishes, and the memberships of every k that its
+    ``select(k_max')`` scores.  ``mean_runtime_seconds``
     times that decomposition plus the true-k fit: one SVD and one fit for
     ``"scgoma"``, as in ``scgoma(R, k)``; for ``"rmsp"`` a vertex search to
     max(k, k_max') picks, longer than the k picks of ``rmsp(R, k)``.  The

@@ -102,14 +102,20 @@ class ClassCountSweep:
     successive-projection pass.  Each fit then equals the single-k
     ``scgoma``/``rmsp`` fit exactly, except ``"scgoma"`` with k_max > 15 where
     a single fit takes the randomized SVD path (see
-    ``estimation._sweep_fitter``).  At a k far from the true class count a
-    fit's ``n_clamped_rows`` is often nonzero; that is data, not a fault.
+    ``estimation._sweep_fitter``).  ``select`` scores the memberships of each
+    k and finishes no fit; item parameters and the ``EstimationResult`` are
+    computed only for the k passed to ``fit``.  Both reuse each k's cached
+    memberships, so each k's vertex search runs once whatever the order of
+    calls.  At a k far from the true class count a fit's ``n_clamped_rows`` is
+    often nonzero; that is data, not a fault.
     """
 
     def __init__(self, responses, estimator="scgoma", k_max: int = 15, *, seed: int = 0):
         self.responses = response_array(responses)
         self.k_max = k_max
-        self._fits = functools.cache(estimation._sweep_fitter(self.responses, estimator, k_max, seed=seed))
+        memberships, finish = estimation._sweep_fitter(self.responses, estimator, k_max, seed=seed)
+        self._memberships = memberships = functools.cache(memberships)
+        self._fits = functools.cache(lambda k: finish(memberships(k)))
 
     def fit(self, k: int) -> EstimationResult:
         """The estimate at k; raises what the estimator raises, or
@@ -119,12 +125,13 @@ class ClassCountSweep:
         return self._fits(k)
 
     def select(self, k_max=None) -> tuple[int, list]:
-        """Fit every k in 1..k_max (default: the sweep's), score each membership
-        matrix, and return ``(k_hat, curve)`` where ``curve`` lists the
-        successful ``(k, modularity)`` pairs in order.  Estimator failures at a
-        given k are skipped (that k is absent from the curve).  Ties go to the
-        smallest k.  The memberships are scored together, in the one pass over
-        R the module docstring describes.
+        """Score the memberships of every k in 1..k_max (default: the sweep's)
+        and return ``(k_hat, curve)`` where ``curve`` lists the successful
+        ``(k, modularity)`` pairs in order.  Only the membership stage of each
+        fit runs; no fit is finished.  Estimator failures at a given k are
+        skipped (that k is absent from the curve).  Ties go to the smallest
+        k.  The memberships are scored together, in the one pass over R the
+        module docstring describes.
 
         Raises ``DimensionError`` unless k_max is an integer in [1, the
         sweep's k_max], and ``WgomError`` if the estimator fails at every k.
@@ -135,7 +142,7 @@ class ClassCountSweep:
         fitted = {}
         for k in range(1, k_max + 1):
             try:
-                fitted[k] = self.fit(k).membership_hat
+                fitted[k] = self._memberships(k).pi
             except (DegenerateRankError, RankDeficiencyError, DimensionError):
                 continue
         if not fitted:

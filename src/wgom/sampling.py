@@ -81,7 +81,9 @@ class Distribution:
         return f"{left}{_bound(lo)}, {_bound(hi)}{right}"
 
     def draw(self, means: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One independent draw per entry of ``means``."""
+        """One independent draw per entry of ``means``, as a new float array
+        that shares no memory with ``means`` (``sample_response`` masks it in
+        place and keeps it without a copy)."""
         raise NotImplementedError
 
 
@@ -284,15 +286,16 @@ def sample_response(spec: ModelSpec, seed) -> tuple[ResponseMatrix, SampleDiagno
             f"the largest |mean| is {np.abs(r0).max():.6g}"
         )
 
-    deviations = np.abs(draws - r0)
-    tau_hat = float(deviations.max())
+    # |draws - r0| in r0's buffer: r0 is not needed after tau_hat.
+    np.abs(np.subtract(draws, r0, out=r0), out=r0)
+    tau_hat = float(r0.max())
     gamma_hat = float(tau_hat**2 / spec.item_params.scale)
+    del r0
 
     if spec.sparsity < 1.0:
-        mask = rng.random(r0.shape) < spec.sparsity
-        draws = draws * mask
+        draws *= rng.random(draws.shape) < spec.sparsity
 
-    return ResponseMatrix(draws), SampleDiagnostics(tau_hat=tau_hat, gamma_hat=gamma_hat)
+    return ResponseMatrix._adopt(draws), SampleDiagnostics(tau_hat=tau_hat, gamma_hat=gamma_hat)
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,16 @@ class ResponseMatrix:
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen_copy(self.values, "response matrix"))
 
+    @classmethod
+    def _adopt(cls, values: np.ndarray) -> ResponseMatrix:
+        """Wrap a fresh float array that no caller holds, checked and frozen
+        in place instead of copied."""
+        matrix = object.__new__(cls)
+        arr = _checked_matrix(values, "response matrix")
+        arr.setflags(write=False)
+        object.__setattr__(matrix, "values", arr)
+        return matrix
+
     @property
     def n_subjects(self) -> int:
         return self.values.shape[0]

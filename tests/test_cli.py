@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -53,6 +54,32 @@ def test_generate_is_deterministic(generated, tmp_path):
     assert main(["generate", str(config_path), "--out", str(again)]) == 0
     assert (out / "responses.csv").read_bytes() == (again / "responses.csv").read_bytes()
     assert (out / "membership.csv").read_bytes() == (again / "membership.csv").read_bytes()
+
+
+# responses.csv digests for README's generate config and CI's signed config.
+# They fix the draw order: responses first, then the retention mask.
+PINNED_RESPONSES = [
+    (
+        {
+            "n": 800, "j": 400, "k": 3, "n_pure_per_class": 200,
+            "mixed_membership": [0.334, 0.333, 0.333],
+            "distribution": {"name": "binomial", "m": 5}, "rho": 2.5, "sparsity": 1.0, "seed": 7,
+        },
+        "f1d852f97744eb1b4905f28dc5e2bef0e906ae31a190177c68d405fed4360a3a",
+    ),
+    (
+        {"n": 200, "j": 100, "k": 3, "distribution": {"name": "signed"}, "sparsity": 0.5, "seed": 3},
+        "5d72e490e078cf0c2cadb16c78655fe342673ac8787f89ad864e59f647af9154",
+    ),
+]
+
+
+@pytest.mark.parametrize("config,digest", PINNED_RESPONSES, ids=["readme", "signed-sparse"])
+def test_generate_bytes_are_pinned(tmp_path, config, digest):
+    config_path = tmp_path / "model.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["generate", str(config_path), "--out", str(tmp_path / "data")]) == 0
+    assert hashlib.sha256((tmp_path / "data" / "responses.csv").read_bytes()).hexdigest() == digest
 
 
 def test_generate_mask_fraction(tmp_path):

@@ -211,6 +211,27 @@ def test_sweep_fit_then_select_fits_each_k_once(monkeypatch):
 
 
 @pytest.mark.parametrize("method", ["scgoma", "rmsp"])
+def test_sweep_select_scores_memberships_and_finishes_no_fit(monkeypatch, method):
+    # select() runs only each k's membership stage; fit(k) afterwards finishes
+    # k's cached stage: no second vertex search or simplex inversion.
+    calls = {}
+    for name in ("_item_regression", "EstimationResult", "successive_projection", "_projection_prefix", "_simplex_memberships"):
+
+        def wrapper(*args, _original=getattr(estimation, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(estimation, name, wrapper)
+    sweep = ClassCountSweep(_binomial_responses(120), method, 6)
+    k_hat, _ = sweep.select()
+    searches = {"scgoma": {"successive_projection": 6}, "rmsp": {"_projection_prefix": 1}}[method]
+    assert calls == {**searches, "_simplex_memberships": 6}
+    result = sweep.fit(k_hat)
+    assert calls == {**searches, "_simplex_memberships": 6, "_item_regression": 1, "EstimationResult": 1}
+    assert result.membership_hat.n_classes == k_hat
+
+
+@pytest.mark.parametrize("method", ["scgoma", "rmsp"])
 def test_sweep_select_over_a_prefix_equals_select_k(method):
     # Min side 100 > 50: the randomized SVD path, one 25-column sketch for every k <= 15.
     r = _binomial_responses(200)

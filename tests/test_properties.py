@@ -3,10 +3,13 @@
 Each property draws small inputs with ``hypothesis``; example counts are
 bounded so the file stays fast.  The CLI fuzz tests run ``main`` in-process on
 malformed matrix files and on ``generate``/``experiment`` configs with arbitrary
-JSON values, and require a documented exit code, never an exception.
+JSON values, and require a documented exit code, never an exception.  The
+Python API fuzz calls the library's entry points with the same arbitrary
+scalars and requires a result or a ``WgomError``.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import re
@@ -19,6 +22,9 @@ from hypothesis import strategies as st
 
 from wgom import (
     Binomial,
+    ClassCountSweep,
+    WgomError,
+    accuracy_rate,
     fuzzy_weighted_modularity,
     hamming_error,
     ideal_rmsp,
@@ -30,6 +36,8 @@ from wgom import (
     scgoma,
     select_k,
     simulation_spec,
+    successive_projection,
+    top_k_svd,
 )
 from wgom import modularity
 from wgom.cli import main
@@ -362,3 +370,72 @@ def test_config_fuzz_exits_with_documented_codes(command_config):
     assert code in (0, 2, 3, 4)
     lines = printed.getvalue().splitlines()
     assert lines == [] if code == 0 else len(lines) == 1 and lines[0].startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
+# Python API fuzz
+# ---------------------------------------------------------------------------
+
+
+def bit_identical(a, b):
+    """Equal types, array bytes and scalars, through dataclasses and sequences
+    (NaN equals NaN)."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            bit_identical(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(bit_identical, a, b))
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return type(a) is type(b) and (a == b or (a != a and b != b))
+
+
+def outcome(call):
+    """What ``call()`` returns, or the type of the ``WgomError`` it raises;
+    any other exception fails the test."""
+    try:
+        return call()
+    except WgomError as exc:
+        return type(exc)
+
+
+# Class counts and seeds are the config fuzz's scalars, plus small valid
+# integers so that the valid path runs often.
+API_INTEGERS = st.integers(1, 5) | CONFIG_SCALARS
+API_NAMES = st.sampled_from(["scgoma", "rmsp"]) | st.text(max_size=4)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    r=st.one_of(noisy.map(lambda rk: rk[0]), models.map(lambda model: model[2])),
+    k=API_INTEGERS,
+    k_other=API_INTEGERS,
+    seed=API_INTEGERS,
+    method=API_NAMES,
+    k_hats=st.lists(CONFIG_SCALARS, max_size=3),
+)
+def test_python_api_returns_or_raises_wgom_error(r, k, k_other, seed, method, k_hats):
+    def sweep(first_fit):
+        swept = ClassCountSweep(r, method, k, seed=seed)
+        fit, select = (lambda: swept.fit(k_other)), (lambda: swept.select(k_other))
+        if first_fit:
+            return outcome(fit), outcome(select), outcome(swept.select)
+        prefix, full = outcome(select), outcome(swept.select)
+        return outcome(fit), prefix, full
+
+    calls = [
+        lambda: scgoma(r, k, seed=seed),
+        lambda: rmsp(r, k),
+        lambda: ideal_scgoma(r, k),
+        lambda: ideal_rmsp(r, k),
+        lambda: sweep(first_fit=True),
+        lambda: select_k(r, method, k, seed=seed),
+        lambda: top_k_svd(r, k, seed=seed),
+        lambda: successive_projection(r, k),
+        lambda: accuracy_rate(k_hats, k),
+    ]
+    for call in calls:
+        assert bit_identical(outcome(call), outcome(call))
+    # A sweep's fits and curves do not depend on the order of the calls.
+    assert bit_identical(outcome(lambda: sweep(first_fit=True)), outcome(lambda: sweep(first_fit=False)))

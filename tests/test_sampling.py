@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,9 @@ from wgom import (
     construct_discrete,
     expected_responses,
     sample_response,
+    simulation_spec,
 )
-from wgom.sampling import discrete_mean_interval
+from wgom.sampling import DISTRIBUTIONS, discrete_mean_interval
 
 from helpers import block_pi
 
@@ -196,20 +199,20 @@ def test_binomial_monte_carlo_mean():
     assert abs(values.mean() - 2.5) <= 3 * np.sqrt(1.25 / 10_000)
 
 
-@pytest.mark.parametrize(
-    "dist,mean",
-    [
-        (Bernoulli(), 0.35),
-        (Binomial(m=5), 1.7),
-        (Uniform(), 2.0),
-        (Normal(sigma2=1.0), -0.4),
-        (SignedBinary(), 0.25),
-        (Poisson(), 3.2),
-        (Exponential(), 1.4),
-        (GeneralDiscrete(support=(-2.0, 1.0, 1.5), scheme="mean-locked"), 0.3),
-        (GeneralDiscrete(support=(0.0, 1.0, 2.0), scheme=0), 0.8),
-    ],
-)
+CATALOG = [
+    (Bernoulli(), 0.35),
+    (Binomial(m=5), 1.7),
+    (Uniform(), 2.0),
+    (Normal(sigma2=1.0), -0.4),
+    (SignedBinary(), 0.25),
+    (Poisson(), 3.2),
+    (Exponential(), 1.4),
+    (GeneralDiscrete(support=(-2.0, 1.0, 1.5), scheme="mean-locked"), 0.3),
+    (GeneralDiscrete(support=(0.0, 1.0, 2.0), scheme=0), 0.8),
+]
+
+
+@pytest.mark.parametrize("dist,mean", CATALOG)
 def test_monte_carlo_mean_each_variant(dist, mean):
     spec = constant_mean_spec(mean, dist, 10_000)
     responses, _ = sample_response(spec, 123)
@@ -261,3 +264,30 @@ def test_same_seed_reproduces_matrix():
     first, _ = sample_response(spec, 99)
     second, _ = sample_response(spec, 99)
     assert np.array_equal(first.values, second.values)
+
+
+def test_draws_are_new_arrays():
+    # sample_response masks the draws in place and keeps them without a copy,
+    # so no catalog draw may alias its means.
+    assert {dist.name for dist, _ in CATALOG} == set(DISTRIBUTIONS)
+    for dist, mean in CATALOG:
+        means = np.full((6, 4), mean)
+        draws = dist.draw(means, np.random.default_rng(0))
+        assert draws.dtype == float and not np.shares_memory(draws, means)
+        assert np.array_equal(means, np.full((6, 4), mean))
+
+
+@pytest.mark.parametrize("sparsity", [1.0, 0.5])
+def test_sampling_peak_memory_is_a_small_multiple_of_r(sparsity):
+    # The deviations reuse R0's buffer, the mask applies in place and the
+    # response matrix keeps the draws: R0 and the draws plus boolean masks.
+    spec = simulation_spec(Normal(), n=400, rho=1.0, sparsity=sparsity, rng=np.random.default_rng(0))
+    r_bytes = spec.n_subjects * spec.n_items * 8
+    tracemalloc.start()
+    try:
+        responses, _ = sample_response(spec, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert responses.values.shape == (400, 200) and not responses.values.flags.writeable
+    assert peak <= 2.5 * r_bytes

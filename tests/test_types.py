@@ -124,6 +124,9 @@ def test_binomial_requires_positive_integer_trials():
 
 
 def test_types_are_read_only():
-    rm = ResponseMatrix(np.ones((2, 2)))
+    caller = np.ones((2, 2))
+    rm = ResponseMatrix(caller)
     with pytest.raises(ValueError):
         rm.values[0, 0] = 5.0
+    # The wrapper keeps a frozen copy; the caller's array stays its own.
+    assert not np.shares_memory(rm.values, caller) and caller.flags.writeable
