@@ -9,13 +9,15 @@ rank exactly K and then run the matching estimator, which recovers it exactly.
 
 ``_sweep_fitter`` is the one route from a method name in ``METHODS`` and a K to
 a fit.  It fits every K of a class-count sweep on an already checked R from one
-decomposition: one top-K_max SVD for ``scgoma``, one K_max-pick vertex search
-for ``rmsp``.  Each fit has two stages.  The membership stage (vertex search,
-clamped simplex weights, row normalization) gives all that modularity scoring
-reads; the finishing stage (item regression, the singular values of the
-inverted system, the frozen ``EstimationResult``) runs only for a fit that is
-asked for.  A single fit, oracles included, is the K-th fit of a one-K sweep;
-``modularity.ClassCountSweep`` caches both stages of a longer one.
+decomposition and one vertex search: for ``scgoma`` one top-K_max SVD and one
+lockstep search over its leading prefixes U[:, :K], for ``rmsp`` one
+K_max-pick search on R.  Each fit has two stages.  The membership stage
+(vertex search, clamped simplex weights, row normalization) gives all that
+modularity scoring reads; the finishing stage (item regression, the singular
+values of the inverted system, the frozen ``EstimationResult``) runs only for
+a fit that is asked for.  A single fit, oracles included, is the K-th fit of
+a one-K sweep; ``modularity.ClassCountSweep`` caches both stages of a longer
+one.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DegenerateRankError, DimensionError, RankDeficiencyError
-from .linalg import TruncatedSVD, _decompose, _leading, solve_small_inverse
+from .linalg import TruncatedSVD, _check_spectrum, _decompose, _leading, _spectrum_rank, solve_small_inverse
 from .types import EstimationResult, MembershipMatrix, _check_seed, _is_count, response_array
-from .vertex_hunting import _projection_prefix, successive_projection
+from .vertex_hunting import _projection_prefix, _projection_searches
 
 METHODS = ("scgoma", "rmsp")
 IDEAL_RANK_RTOL = 1e-10
@@ -47,14 +49,19 @@ class _Memberships(NamedTuple):
 
 
 def _normalize_clamped(z: np.ndarray, k: int) -> tuple[np.ndarray, int]:
-    """Row-normalize a clamped weight matrix, patching all-zero rows in place.
+    """Row-normalize a clamped weight matrix in place.
 
     A row that clamps to zero carries no simplex information; it gets the
-    uniform membership 1/k.  Returns (pi, number of patched rows).
+    uniform membership 1/k.  The rows are summed once, and only patched rows
+    again.  Returns (pi, number of patched rows), where pi is ``z``.
     """
-    dead = z.sum(axis=1) <= 0.0
-    z[dead] = 1.0 / k
-    return z / z.sum(axis=1)[:, None], int(dead.sum())
+    sums = z.sum(axis=1)
+    dead = (sums <= 0.0).nonzero()[0]
+    if len(dead):
+        z[dead] = 1.0 / k
+        sums[dead] = z[dead].sum(axis=1)
+    z /= sums[:, None]
+    return z, len(dead)
 
 
 def _check_exact_rank(matrix: np.ndarray, k: int) -> None:
@@ -134,8 +141,7 @@ def scgoma(responses, k: int, *, seed: int = 0) -> EstimationResult:
     return _single_fit(response_array(responses), "scgoma", k, seed=seed)
 
 
-def _scgoma_fit(r: np.ndarray, svd: TruncatedSVD) -> _Memberships:
-    vertices = successive_projection(svd.left, svd.k)
+def _scgoma_fit(svd: TruncatedSVD, vertices: np.ndarray) -> _Memberships:
     pi, n_clamped, _ = _simplex_memberships(svd.left, vertices)
     return _Memberships(pi, n_clamped, vertices, svd)
 
@@ -198,8 +204,13 @@ def _sweep_fitter(r: np.ndarray, estimator, k_max: int, *, seed: int = 0):
     this.  ``finish(memberships(k))`` runs the item regression and builds the
     ``EstimationResult``, only for the fits someone asks for.  ``estimator``
     is a name in ``METHODS``, and R is decomposed once per sweep.
-    ``"scgoma"`` fits k on the first k triplets of one top-k_max SVD seeded
-    with ``seed``; the spectrum check stays per k, on that prefix.  For
+    ``"scgoma"`` makes one top-k_max SVD seeded with ``seed`` and one
+    lockstep search over its leading prefixes U[:, :k]
+    (``vertex_hunting._projection_searches``).  It fits k on the first k
+    triplets and the k-th search's picks, which are those of a k-pick search
+    on U[:, :k].  The spectrum check stays per k, on that prefix; since it
+    fails at every k past its first failure, signs are fixed once, on the
+    longest passing prefix, and the search covers that prefix's ks.  For
     k_max <= 15 this equals ``scgoma(R, k, seed=seed)`` exactly, since every
     k <= 15 takes the same SVD path and the same 25-column sketch.  For
     k_max > 15 the sweep sketches k_max + 10 columns (or goes dense where a
@@ -219,8 +230,23 @@ def _sweep_fitter(r: np.ndarray, estimator, k_max: int, *, seed: int = 0):
     if not isinstance(estimator, str) or estimator not in METHODS:
         raise ConfigError(f"unknown estimator {estimator!r}; expected one of {METHODS}")
     if estimator == "scgoma":
-        factors = _decompose(r, k_max, seed=seed)
-        return (lambda k: _scgoma_fit(r, _leading(*factors, k))), _scgoma_finish
+        u, s, vt = _decompose(r, k_max, seed=seed)
+        # Signs are fixed per column, so one fix serves every passing prefix.
+        k_ok = _spectrum_rank(s, k_max)
+        top = _leading(u, s, vt, k_ok) if k_ok else None
+        widths = range(1, k_ok + 1)
+        searches = _projection_searches(top.left, widths, widths) if k_ok else []
+
+        def scgoma_memberships(k):
+            if k > k_ok:
+                _check_spectrum(s, k)
+            vertices, failure = searches[k - 1]
+            if failure is not None:
+                raise RankDeficiencyError(failure)
+            prefix = TruncatedSVD(top.left[:, :k].copy(), top.singulars[:k].copy(), top.right[:, :k].copy())
+            return _scgoma_fit(prefix, vertices)
+
+        return scgoma_memberships, _scgoma_finish
     vertices, failure = _projection_prefix(r, k_max)
 
     def memberships(k):

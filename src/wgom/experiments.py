@@ -294,8 +294,9 @@ def run_experiment(
     max(k, k_max') with k_max' = min(k_max, N, J) gives the true-k estimate,
     the one fit it finishes, and the memberships of every k that its
     ``select(k_max')`` scores.  ``mean_runtime_seconds``
-    times that decomposition plus the true-k fit: one SVD and one fit for
-    ``"scgoma"``, as in ``scgoma(R, k)``; for ``"rmsp"`` a vertex search to
+    times that decomposition plus the true-k fit: for ``"scgoma"`` one SVD,
+    a lockstep search over max(k, k_max') prefixes where ``scgoma(R, k)``
+    searches k, and one fit; for ``"rmsp"`` a vertex search to
     max(k, k_max') picks, longer than the k picks of ``rmsp(R, k)``.  The
     estimate equals ``scgoma(R, k)`` / ``rmsp(R, k)`` exactly whenever
     max(k, k_max') <= 15.  Above that ``"scgoma"`` fits k from the sweep's

@@ -53,8 +53,15 @@ def _fix_signs(u: np.ndarray, vt: np.ndarray) -> None:
     vt[flip] = -vt[flip]
 
 
+def _spectrum_rank(s: np.ndarray, k_max: int) -> int:
+    """The largest k <= k_max whose spectrum check passes, 0 if none does.
+    ``s`` is nonincreasing, so the check passes at every k up to it and fails
+    at every k past it."""
+    return int(np.count_nonzero(s[:k_max] >= DEGENERATE_RTOL * s[0])) if s[0] > 0.0 else 0
+
+
 def _check_spectrum(s: np.ndarray, k: int) -> None:
-    if s[0] <= 0.0 or s[k - 1] < DEGENERATE_RTOL * s[0]:
+    if _spectrum_rank(s, k) < k:
         raise DegenerateRankError(
             f"matrix is numerically rank deficient: sigma_{k} = {s[k - 1]:.3g} "
             f"with sigma_1 = {s[0]:.3g}"

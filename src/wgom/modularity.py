@@ -98,16 +98,17 @@ class ClassCountSweep:
     (``DimensionError`` unless k_max is an integer in [1, min(N, J)],
     ``ConfigError`` for any other estimator or a seed that is not an
     integer >= 0) and decomposes it once: ``"scgoma"`` fits every k from one
-    top-k_max SVD seeded with ``seed`` and ``"rmsp"`` from one k_max-pick
-    successive-projection pass.  Each fit then equals the single-k
-    ``scgoma``/``rmsp`` fit exactly, except ``"scgoma"`` with k_max > 15 where
-    a single fit takes the randomized SVD path (see
-    ``estimation._sweep_fitter``).  ``select`` scores the memberships of each
-    k and finishes no fit; item parameters and the ``EstimationResult`` are
-    computed only for the k passed to ``fit``.  Both reuse each k's cached
-    memberships, so each k's vertex search runs once whatever the order of
-    calls.  At a k far from the true class count a fit's ``n_clamped_rows`` is
-    often nonzero; that is data, not a fault.
+    top-k_max SVD seeded with ``seed`` and one lockstep search over its
+    leading prefixes, and ``"rmsp"`` from one k_max-pick successive-projection
+    pass.  Each fit then equals the single-k ``scgoma``/``rmsp`` fit exactly,
+    except ``"scgoma"`` with k_max > 15 where a single fit takes the
+    randomized SVD path (see ``estimation._sweep_fitter``).  ``select`` scores
+    the memberships of each k and finishes no fit; item parameters and the
+    ``EstimationResult`` are computed only for the k passed to ``fit``.  Both
+    reuse each k's cached memberships, so the sweep's one vertex search and
+    each k's simplex weights run once whatever the order of calls.  At a k
+    far from the true class count a fit's ``n_clamped_rows`` is often
+    nonzero; that is data, not a fault.
     """
 
     def __init__(self, responses, estimator="scgoma", k_max: int = 15, *, seed: int = 0):

@@ -95,8 +95,10 @@ class Bernoulli(Distribution):
     interval = (0.0, 1.0, False)
 
     def draw(self, means, rng):
-        p = np.clip(means, 0.0, 1.0)
-        return (rng.random(means.shape) < p).astype(float)
+        # For u in [0, 1), u < clip(mean, 0, 1) exactly when u < mean, so the
+        # outcomes overwrite the uniforms.
+        u = rng.random(means.shape)
+        return np.less(u, means, out=u)
 
 
 @dataclass(frozen=True)
@@ -115,8 +117,11 @@ class Binomial(Distribution):
         return (0.0, self.m, False)
 
     def draw(self, means, rng):
-        p = np.clip(means / self.m, 0.0, 1.0)
-        return rng.binomial(self.m, p).astype(float)
+        p = means / self.m
+        np.clip(p, 0.0, 1.0, out=p)
+        counts = rng.binomial(self.m, p)
+        del p
+        return counts.astype(float)
 
 
 @dataclass(frozen=True)
@@ -159,8 +164,14 @@ class SignedBinary(Distribution):
     interval = (-1.0, 1.0, False)
 
     def draw(self, means, rng):
-        p_plus = np.clip((1.0 + means) / 2.0, 0.0, 1.0)
-        return np.where(rng.random(means.shape) < p_plus, 1.0, -1.0)
+        # As for Bernoulli, u < P(+1) needs no clip; the outcomes overwrite
+        # P(+1) and map 1 -> +1, 0 -> -1.
+        draws = np.add(1.0, means)
+        draws /= 2.0
+        np.less(rng.random(means.shape), draws, out=draws)
+        draws *= 2.0
+        draws -= 1.0
+        return draws
 
 
 @dataclass(frozen=True)
@@ -230,10 +241,12 @@ class GeneralDiscrete(Distribution):
 
     def draw(self, means, rng):
         support = np.asarray(self.support)
-        probs = _discrete_table(self.support, self.scheme, means)
-        cum = np.cumsum(probs, axis=-1)
+        cum = _discrete_table(self.support, self.scheme, means)
+        np.cumsum(cum, axis=-1, out=cum)
         u = rng.random(means.shape)
-        idx = np.minimum((u[..., None] > cum).sum(axis=-1), len(support) - 1)
+        idx = (u[..., None] > cum).sum(axis=-1)
+        del cum, u
+        np.minimum(idx, len(support) - 1, out=idx)
         return support[idx]
 
 

@@ -9,7 +9,13 @@ robust recursive algorithms for separable nonnegative matrix factorization",
 IEEE TPAMI 36(4)).  It keeps their squared norms: once a pick's direction u
 is orthogonal to the earlier ones, r_i . u = x_i . u, so each pick downdates
 |r_i|^2 by (x_i . u)^2 at the cost of one product X u.  Beyond the input it
-holds O(N + k d) numbers, not a residual copy of it.
+holds O(N + k d) numbers per search, not a residual copy of it.
+
+Searches on several column prefixes of one matrix run in lockstep
+(``_projection_searches``).  A class-count sweep searches the rows of
+U[:, :k] for every k up to K_max; at each step all of its live searches share
+one product X B' and one exact recompute.  A single search is the lockstep's
+one-prefix case.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ def successive_projection(rows, k: int) -> np.ndarray:
     onto the orthogonal complement of the picked direction.  The picked
     direction is re-orthogonalized once against the earlier ones before use.
     The residual norms are downdated, and recomputed exactly wherever a pick
-    depends on them (see ``_projection_prefix``).
+    depends on them (see ``_projection_searches``).
 
     Raises
     ------
@@ -53,10 +59,20 @@ def successive_projection(rows, k: int) -> np.ndarray:
     return vertices
 
 
-def _exact_residuals(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """rows - B'B rows for the orthonormal rows B of ``basis``: the projected
-    rows themselves, formed only where a pick depends on their norms."""
-    return rows - (rows @ basis.T) @ basis
+def _exact_residuals(rows: np.ndarray, basis) -> np.ndarray:
+    """The projected rows, formed only where a pick reads their norms.
+
+    ``basis`` pairs the (m, t, d) stack of m searches' orthonormal bases with
+    the search ``owner[i]`` that row i belongs to; row i loses its component
+    in the span of its own search's basis only.
+    """
+    stack, owner = basis
+    m, t, d = stack.shape
+    stack = stack.reshape(m * t, d)
+    coefficients = rows @ stack.T
+    if m > 1:
+        coefficients.reshape(len(rows), m, t)[owner[:, None] != np.arange(m)] = 0.0
+    return rows - coefficients @ stack
 
 
 def _projection_prefix(rows, k: int) -> tuple[np.ndarray, str | None]:
@@ -66,11 +82,31 @@ def _projection_prefix(rows, k: int) -> tuple[np.ndarray, str | None]:
     before the residual vanished, and ``None`` or the reason the search
     stopped short of k.  The search is greedy, so the first t picks of a
     k-pick run are the picks of a t-pick run.
+    """
+    x = np.asarray(rows, dtype=float)
+    if x.ndim != 2:
+        raise DimensionError(f"expected a 2-d row matrix, got ndim={x.ndim}")
+    n, d = x.shape
+    if not (_is_count(k) and 1 <= k <= min(n, d)):
+        raise DimensionError(f"k={k!r} outside [1, min(n, d)] = [1, {min(n, d)}]")
+    return _projection_searches(x, [d], [k])[0]
 
-    Each pick downdates every squared residual norm by one product X u.
-    Downdates lose relative accuracy as residuals shrink (cancellation), so
-    before each pick the rows whose downdated norm lies within the rounding
-    bound of the top (t * DOWNDATE_RTOL * (d + k) * max |x_i|^2 after t
+
+def _projection_searches(x: np.ndarray, widths, picks) -> list:
+    """Successive projection on several column prefixes of ``x`` in lockstep.
+
+    Search j picks up to ``picks[j]`` rows of ``x[:, :widths[j]]``, where
+    1 <= picks[j] <= min(N, widths[j]) and widths[j] <= d.  Returns one
+    ``(vertices, failure)`` pair per search, as ``_projection_prefix`` gives
+    it; each search's picks and stop are those it would make alone.  Step t
+    advances every search still short of its picks with one product
+    X [u_j ...] for all their new directions and one exact recompute for all
+    their bands (below).
+
+    Each pick downdates every squared residual norm of its search.  Downdates
+    lose relative accuracy as residuals shrink (cancellation), so before each
+    pick the rows whose downdated norm lies within the rounding bound of their
+    search's top (t * DOWNDATE_RTOL * (width + picks) * max |x_i|^2 after t
     picks) get their residuals recomputed exactly and written back.  The
     largest true residual is always among them.  While the top is well above
     the bound these are the tie band alone, usually the picked row, whose
@@ -80,52 +116,87 @@ def _projection_prefix(rows, k: int) -> tuple[np.ndarray, str | None]:
     the tie rule (squared norms within a factor (1 - TIE_RTOL)^2 of the top,
     lowest index first) read exactly computed norms, never downdated ones.
     """
-    x = np.asarray(rows, dtype=float)
-    if x.ndim != 2:
-        raise DimensionError(f"expected a 2-d row matrix, got ndim={x.ndim}")
-    n, d = x.shape
-    if not (_is_count(k) and 1 <= k <= min(n, d)):
-        raise DimensionError(f"k={k!r} outside [1, min(n, d)] = [1, {min(n, d)}]")
-
-    sq = np.einsum("ij,ij->i", x, x)  # row norms without an N x d temporary
-    step_bound = DOWNDATE_RTOL * (d + k) * sq.max()
+    d = x.shape[1]
+    widths, picks = np.asarray(widths), np.asarray(picks)
+    steps = int(picks.max())
+    results = [None] * len(widths)
+    # One row per live search, compacted as searches finish or stop.
+    search = np.arange(len(widths))
+    sq = np.stack([np.einsum("ij,ij->i", x[:, :w], x[:, :w]) for w in widths])
+    step_bound = DOWNDATE_RTOL * (widths + picks) * sq.max(axis=1)
+    # Search j sees the columns in_prefix[j] of a row and zeros elsewhere.
+    in_prefix = np.arange(d) < widths[:, None] if (widths < d).any() else None
+    basis = np.empty((len(widths), steps, d))
+    chosen = np.empty((len(widths), steps), dtype=int)
     tie = (1.0 - TIE_RTOL) ** 2
-    basis = np.empty((k, d))
-    chosen = np.empty(k, dtype=int)
 
-    for t in range(k):
+    for t in range(steps):
         slack = t * step_bound
-        top = float(sq.max())
-        near = (sq >= (top - slack) * tie - slack).nonzero()[0]
+        top = sq.max(axis=1)
+        # Row-major order: ``owner`` (a live search's row) ascends, and so
+        # does ``near`` within each owner's segment.
+        owner, near = (sq >= ((top - slack) * tie - slack)[:, None]).nonzero()
+        residuals = x[near]
+        if in_prefix is not None:
+            residuals *= in_prefix[owner]
         if t:
-            residuals = _exact_residuals(x[near], basis[:t])
-            sq[near] = near_sq = (residuals * residuals).sum(axis=1)
-            top = float(near_sq.max())
+            residuals = _exact_residuals(residuals, (basis[:, :t], owner))
+            near_sq = (residuals * residuals).sum(axis=1)
+            sq[owner, near] = near_sq
         else:
-            residuals, near_sq = x[near], sq[near]
-        if top < ZERO_RESIDUAL_TOL**2:
-            return chosen[:t], (
-                f"residual vanished after {t} of {k} selections "
-                f"(max row norm {np.sqrt(top):.3g})"
-            )
-        at = int(np.argmax(near_sq >= top * tie)) if len(near) > 1 else 0
-        chosen[t] = near[at]
+            near_sq = sq[owner, near]
+        if len(near) > len(sq):
+            # Some band holds several rows: take each search's top and the
+            # lowest index in its tie band.  A segment's top is a candidate,
+            # so the first candidate at or after its start lies in it.
+            starts = np.searchsorted(owner, np.arange(len(sq)))
+            if t:
+                top = np.maximum.reduceat(near_sq, starts)
+            at = (near_sq >= top[owner] * tie).nonzero()[0]
+            at = at[np.searchsorted(at, starts)]
+            near, residuals = near[at], residuals[at]
+        elif t:
+            top = near_sq
+        chosen[:, t] = near
 
-        direction = residuals[at]
+        directions = residuals
         if t:
             # One re-orthogonalization pass keeps the basis clean for
             # near-degenerate simplices.
-            earlier = basis[:t]
-            direction -= earlier.T @ (earlier @ direction)
-        norm = np.sqrt(direction @ direction)
-        if norm < ZERO_RESIDUAL_TOL:
-            return chosen[:t], (
-                f"selected direction collapsed after re-orthogonalization "
-                f"at step {t + 1} of {k}"
+            earlier = basis[:, :t]
+            coefficients = earlier @ directions[:, :, None]
+            directions -= (np.swapaxes(coefficients, 1, 2) @ earlier)[:, 0]
+        norms = np.sqrt(directions[:, None] @ directions[:, :, None])[:, 0, 0]
+        stopped = (top < ZERO_RESIDUAL_TOL**2) | (norms < ZERO_RESIDUAL_TOL)
+        leaving = stopped | (picks == t + 1)
+        if leaving.any():
+            for i in leaving.nonzero()[0]:
+                j = search[i]
+                if not stopped[i]:
+                    results[j] = chosen[i, : t + 1], None
+                elif top[i] < ZERO_RESIDUAL_TOL**2:
+                    results[j] = chosen[i, :t], (
+                        f"residual vanished after {t} of {picks[i]} selections "
+                        f"(max row norm {np.sqrt(top[i]):.3g})"
+                    )
+                else:
+                    results[j] = chosen[i, :t], (
+                        f"selected direction collapsed after re-orthogonalization "
+                        f"at step {t + 1} of {picks[i]}"
+                    )
+            if leaving.all():
+                break
+            staying = ~leaving
+            search, picks, step_bound, sq, basis, chosen = (
+                a[staying] for a in (search, picks, step_bound, sq, basis, chosen)
             )
-        basis[t] = direction / norm
-        projection = x @ basis[t]
+            directions, norms = directions[staying], norms[staying]
+            if in_prefix is not None:
+                in_prefix = in_prefix[staying]
+        directions /= norms[:, None]
+        basis[:, t] = directions
+        projection = x @ directions.T
         projection *= projection
-        sq -= projection
+        sq -= projection.T
 
-    return chosen, None
+    return results

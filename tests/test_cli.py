@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -80,6 +81,77 @@ def test_generate_bytes_are_pinned(tmp_path, config, digest):
     config_path.write_text(json.dumps(config))
     assert main(["generate", str(config_path), "--out", str(tmp_path / "data")]) == 0
     assert hashlib.sha256((tmp_path / "data" / "responses.csv").read_bytes()).hexdigest() == digest
+
+
+# sha256 of each fit output for the configs above, in their order: estimate
+# --k 3's membership_hat.csv and item_params_hat.csv, and select-k's JSON, per
+# method.  A refactor of the estimators must leave these bytes unchanged.
+PINNED_FITS = [
+    {
+        "scgoma": (
+            "ffcf981119f4a35594883682d8259cce7600b4c175d3f9e2e304c0b1bdaf3c93",
+            "f23719d088a71b5dffb849b1e5ef5fc41752dab16be487cabf9d0bb9119c636f",
+            "cf217491fb6a5e06cc37ef11239453128322ae00e11d0a057ac0c47da959852d",
+        ),
+        "rmsp": (
+            "77c1c78ab74994a61c45f3668b6968ca6a093f4eff09d3511367a7f883b4bd48",
+            "e2db8527851f7bca69375b77f7ca5e05098e47756a34d4bfed57392166fffb0b",
+            "2c3f8ae261543a39c1b7ad82b78356affe73d4e94a868b96b352130895c74eaa",
+        ),
+    },
+    {
+        "scgoma": (
+            "995b67b458f501154d9dca692b33d5336650293c1a52c6f1f3c55f0dcba4d185",
+            "b57d67a29dc948a3f888e49ca8b8897d5110afd3bc554258aa722c21abea6996",
+            "2a8a2ca5e6a42c20fb06cc43ca9c65d7826c2374273d60cdcb7ebd2e1ca582da",
+        ),
+        "rmsp": (
+            "1c8f80cd33c8a38a956ec28de9e341331160352197286aad261d142869f66250",
+            "e745aa53c9dc9df1d0aed92cc6ab2611c707bdecf2d9886c3e5b103dbe27efa3",
+            "0218e7e0633849984a0d6ed32e8f0f9932f9a36a9fab53255d0d9f4c8093724f",
+        ),
+    },
+]
+# The child runs each argv list through the CLI, then prints a digest of
+# fixed BLAS and LAPACK results like the randomized SVD's.  Float bits depend
+# on the BLAS build, CPU kernel and thread count, so the child runs on one
+# BLAS thread, and the digests are checked only where that canary matches
+# the machine they were taken on (OpenBLAS 0.3.31, x86-64).
+FIT_CHILD = """
+import hashlib, json, sys
+import numpy as np
+from wgom.cli import main
+if any(main(argv) != 0 for argv in json.loads(sys.argv[1])):
+    sys.exit(1)
+rng = np.random.default_rng(0)
+a = rng.standard_normal((800, 400))
+q, _ = np.linalg.qr(a @ rng.standard_normal((400, 25)))
+print(hashlib.sha256(q.tobytes() + np.linalg.svd(q.T @ a, compute_uv=False).tobytes()).hexdigest())
+"""
+BLAS_CANARY = "0cd719559aa243ba746286ff820f6d8f99a5665cc7e36601c0c81a76e22a1506"
+
+
+@pytest.mark.parametrize(
+    "config,fits", [(config, fits) for (config, _), fits in zip(PINNED_RESPONSES, PINNED_FITS)], ids=["readme", "signed-sparse"]
+)
+def test_fit_outputs_are_pinned(tmp_path, config, fits):
+    (tmp_path / "model.json").write_text(json.dumps(config))
+    data = str(tmp_path / "data" / "responses.csv")
+    argvs = [["generate", str(tmp_path / "model.json"), "--out", str(tmp_path / "data")]]
+    for method in fits:
+        argvs.append(["estimate", data, "--k", "3", "--method", method, "--out", str(tmp_path / f"{method}-fit")])
+        argvs.append(["select-k", data, "--method", method, "--out", str(tmp_path / f"{method}-k")])
+    one_thread = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    proc = subprocess.run(
+        [sys.executable, "-c", FIT_CHILD, json.dumps(argvs)],
+        capture_output=True, text=True, env={**os.environ, **one_thread},
+    )
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.splitlines()[-1] != BLAS_CANARY:
+        pytest.skip("this BLAS rounds differently from the one the digests were taken on")
+    for method, digests in fits.items():
+        outputs = (f"{method}-fit/membership_hat.csv", f"{method}-fit/item_params_hat.csv", f"{method}-k/select_k.json")
+        assert [hashlib.sha256((tmp_path / path).read_bytes()).hexdigest() for path in outputs] == list(digests), method
 
 
 def test_generate_mask_fraction(tmp_path):

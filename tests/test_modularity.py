@@ -213,9 +213,11 @@ def test_sweep_fit_then_select_fits_each_k_once(monkeypatch):
 @pytest.mark.parametrize("method", ["scgoma", "rmsp"])
 def test_sweep_select_scores_memberships_and_finishes_no_fit(monkeypatch, method):
     # select() runs only each k's membership stage; fit(k) afterwards finishes
-    # k's cached stage: no second vertex search or simplex inversion.
+    # k's cached stage: no second vertex search or simplex inversion.  Each
+    # sweep makes one vertex search: scgoma's advances every prefix U[:, :k]
+    # in lockstep, rmsp's runs to k_max picks.
     calls = {}
-    for name in ("_item_regression", "EstimationResult", "successive_projection", "_projection_prefix", "_simplex_memberships"):
+    for name in ("_item_regression", "EstimationResult", "_projection_searches", "_projection_prefix", "_simplex_memberships"):
 
         def wrapper(*args, _original=getattr(estimation, name), _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
@@ -224,7 +226,7 @@ def test_sweep_select_scores_memberships_and_finishes_no_fit(monkeypatch, method
         monkeypatch.setattr(estimation, name, wrapper)
     sweep = ClassCountSweep(_binomial_responses(120), method, 6)
     k_hat, _ = sweep.select()
-    searches = {"scgoma": {"successive_projection": 6}, "rmsp": {"_projection_prefix": 1}}[method]
+    searches = {"scgoma": {"_projection_searches": 1}, "rmsp": {"_projection_prefix": 1}}[method]
     assert calls == {**searches, "_simplex_memberships": 6}
     result = sweep.fit(k_hat)
     assert calls == {**searches, "_simplex_memberships": 6, "_item_regression": 1, "EstimationResult": 1}

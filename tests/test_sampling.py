@@ -277,17 +277,37 @@ def test_draws_are_new_arrays():
         assert np.array_equal(means, np.full((6, 4), mean))
 
 
+# (distribution, rho, peak bound in units of R) at 400 x 200.  R0 and the
+# draws take 2 R; a draw whose outcome needs one more full-size array (its
+# integer counts, or uniforms beside a threshold derived from R0) takes 3 R.
+# The discrete draw holds its Q cumulative probabilities per entry.
+PEAK_BOUNDS = [
+    (Normal(), 1.0, 2.5),
+    (Bernoulli(), 0.5, 2.5),
+    (Exponential(), 1.0, 2.5),
+    (Binomial(m=5), 2.0, 3.25),
+    (Uniform(), 1.0, 3.25),
+    (SignedBinary(), 0.5, 3.25),
+    (Poisson(), 1.0, 3.25),
+    (GeneralDiscrete(support=(0.0, 1.0, 2.0)), 1.0, 7.25),
+]
+
+
 @pytest.mark.parametrize("sparsity", [1.0, 0.5])
 def test_sampling_peak_memory_is_a_small_multiple_of_r(sparsity):
-    # The deviations reuse R0's buffer, the mask applies in place and the
-    # response matrix keeps the draws: R0 and the draws plus boolean masks.
-    spec = simulation_spec(Normal(), n=400, rho=1.0, sparsity=sparsity, rng=np.random.default_rng(0))
-    r_bytes = spec.n_subjects * spec.n_items * 8
-    tracemalloc.start()
-    try:
-        responses, _ = sample_response(spec, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert responses.values.shape == (400, 200) and not responses.values.flags.writeable
-    assert peak <= 2.5 * r_bytes
+    # The deviations reuse R0's buffer, the mask applies in place, the
+    # response matrix keeps the draws, and each draw frees its temporaries
+    # before it makes the next.
+    peaks = {}
+    for dist, rho, bound in PEAK_BOUNDS:
+        spec = simulation_spec(dist, n=400, rho=rho, sparsity=sparsity, rng=np.random.default_rng(0))
+        r_bytes = spec.n_subjects * spec.n_items * 8
+        tracemalloc.start()
+        try:
+            responses, _ = sample_response(spec, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert responses.values.shape == (400, 200) and not responses.values.flags.writeable
+        peaks[dist.name] = (round(peak / r_bytes, 3), bound)
+    assert all(peak <= bound for peak, bound in peaks.values()), peaks

@@ -3,12 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wgom import DimensionError, RankDeficiencyError, successive_projection
 from wgom import vertex_hunting
-from wgom.vertex_hunting import _projection_prefix
+from wgom.vertex_hunting import _projection_prefix, _projection_searches
 
 from helpers import block_pi, random_row_stochastic, spa_oracle
 
@@ -154,6 +154,48 @@ def test_downdated_search_matches_residual_oracle(kind, seed, n, d, rank, on_lef
     assert (failure is None) == (want_failure is None)
     if failure is not None:
         assert failure.split()[0] == want_failure.split()[0]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(INPUT_KINDS),
+    right_kind=st.sampled_from(INPUT_KINDS),
+    seed=st.integers(0, 2**32 - 2),
+    n=st.integers(6, 40),
+    d=st.integers(1, 10),
+    d_right=st.integers(0, 10),
+    rank=st.integers(1, 6),
+    on_left_factor=st.booleans(),
+    widths=st.lists(st.integers(1, 20), min_size=1, max_size=6),
+    picks=st.lists(st.integers(1, 20), min_size=6, max_size=6),
+)
+# Columns 0-3 have rank exactly 2, and columns 4-7 add rank 2 plus a 1e-8
+# perturbation: the width-4 search stops after 2 picks while the width-8 one
+# goes on to 6.
+@example("separable", "near_deficient", 1, 30, 4, 4, 2, False, [4, 8, 3], [4, 6, 2, 1, 1, 1])
+# Rows repeat in columns 0-3 only: the narrow searches' tie bands hold
+# several rows at steps where the width-8 search's band holds one.
+@example("duplicates", "noisy", 1, 30, 4, 4, 3, False, [3, 8, 4], [3, 6, 4, 1, 1, 1])
+def test_lockstep_searches_match_residual_oracle_per_prefix(
+    kind, right_kind, seed, n, d, d_right, rank, on_left_factor, widths, picks
+):
+    rows = spa_input(kind, seed, n, d, min(rank, d))
+    if d_right:
+        # A second column block of another kind: rank, ties and stops then
+        # depend on how many columns a search sees.
+        rows = np.hstack([rows, spa_input(right_kind, seed + 1, n, d_right, min(rank, d_right))])
+    if on_left_factor:
+        rows = left_factor(rows)
+    widths = [min(w, rows.shape[1]) for w in widths]
+    picks = [min(p, n, w) for p, w in zip(picks, widths)]
+    searches = _projection_searches(rows, widths, picks)
+    assert len(searches) == len(widths)
+    for (vertices, failure), w, k in zip(searches, widths, picks):
+        want, want_failure = spa_oracle(rows[:, :w], k)
+        assert vertices.tolist() == want.tolist()
+        assert (failure is None) == (want_failure is None)
+        if failure is not None:
+            assert failure.split()[0] == want_failure.split()[0]
 
 
 def test_exact_rank_input_stops_after_its_rank():
