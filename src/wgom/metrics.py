@@ -1,14 +1,15 @@
 """Evaluation metrics: permutation-matched errors and membership profiling.
 
 Latent class labels are arbitrary, so both error metrics minimize over all
-K x K column permutations.  Their objectives decompose into per-column costs,
-which makes linear assignment an exact minimizer at any K.  Its solver,
-``scipy.optimize.linear_sum_assignment``, is imported on the first call to
-an error metric, so importing ``wgom`` loads numpy and nothing heavier.
+K! column permutations.  Their objectives decompose into per-column costs,
+which makes linear assignment an exact minimizer at any K.  ``_assignment``
+solves it with the Hungarian method (Kuhn 1955) in O(K^3) Python steps, so
+the metrics need numpy and nothing heavier.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -25,12 +26,50 @@ def _aligned_pair(estimate, truth) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _assignment(cost: np.ndarray) -> list:
+    """Column of each row in a minimum-cost one-to-one matching of a square
+    cost matrix; an infinite entry is a forbidden pair.  Row i joins along
+    the shortest augmenting path in reduced costs, which the row and column
+    potentials u, v keep nonnegative, so each partial matching is optimal.
+    """
+    rows = cost.tolist()
+    k = len(rows)
+    u, v = [0.0] * (k + 1), [0.0] * (k + 1)
+    owner = [0] * (k + 1)  # owner[j]: the 1-based row matched to column j; 0 is the root
+    for i in range(1, k + 1):
+        owner[0], j0 = i, 0
+        slack, via, seen = [math.inf] * (k + 1), [0] * (k + 1), [False] * (k + 1)
+        while owner[j0]:
+            seen[j0] = True
+            i0 = owner[j0]
+            row = rows[i0 - 1]
+            delta, j1 = math.inf, 0
+            for j in range(1, k + 1):
+                if not seen[j]:
+                    reduced = row[j - 1] - u[i0] - v[j]
+                    if reduced < slack[j]:
+                        slack[j], via[j] = reduced, j0
+                    if slack[j] < delta:
+                        delta, j1 = slack[j], j
+            if delta == math.inf:
+                raise DataFormatError("matching costs overflow: no finite one-to-one matching")
+            for j in range(k + 1):
+                if seen[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:
+            owner[j0] = owner[via[j0]]
+            j0 = via[j0]
+    return [j for _, j in sorted(zip(owner[1:], range(k)))]
+
+
 def _matched_cost(cost: np.ndarray) -> float:
     """The smallest total cost of a one-to-one column matching."""
-    from scipy.optimize import linear_sum_assignment
-
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].sum())
+    cols = _assignment(cost)
+    return float(cost[np.arange(len(cols)), cols].sum())
 
 
 def hamming_error(pi_hat, pi_true) -> float:

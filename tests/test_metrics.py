@@ -1,5 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from wgom import (
     DataFormatError,
@@ -10,8 +15,22 @@ from wgom import (
     profile_memberships,
     relative_error,
 )
+from wgom.metrics import _assignment, _matched_cost
 
 from helpers import brute_hamming, brute_relative, random_row_stochastic
+
+
+def _costs(k: int, kind: str, rng: np.random.Generator) -> np.ndarray:
+    if kind == "real":
+        return rng.random((k, k))
+    if kind == "ties":
+        return rng.integers(0, 3, (k, k)).astype(float)
+    return rng.random((k, k)) * 10.0 ** rng.integers(-6, 7, (k, k))  # mixed magnitudes
+
+
+def _scipy_cost(cost: np.ndarray) -> float:
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].sum())
 
 
 def test_hamming_identity_and_column_swap():
@@ -148,3 +167,53 @@ def test_error_metrics_pass_the_input_gate(metric):
         metric(np.ones(3), np.ones(3))
     with pytest.raises(DimensionError):
         metric(good, np.ones(2))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    k=st.integers(1, 7),
+    kind=st.sampled_from(["real", "ties", "mixed"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_assignment_is_the_permutation_minimum(k, kind, seed):
+    cost = _costs(k, kind, np.random.default_rng(seed))
+    cols = _assignment(cost)
+    assert sorted(cols) == list(range(k))
+    rows = np.arange(k)
+    brute = min(float(cost[rows, list(p)].sum()) for p in itertools.permutations(range(k)))
+    assert _matched_cost(cost) == brute
+
+
+def test_assignment_matches_scipy_up_to_k_40():
+    rng = np.random.default_rng(5)
+    for k in range(1, 41):
+        for kind in ("real", "ties", "mixed"):
+            cost = _costs(k, kind, rng)
+            assert _matched_cost(cost) == _scipy_cost(cost)
+
+
+def test_error_metrics_equal_the_scipy_matching_bit_for_bit():
+    # Continuous random inputs: the optimal matching is unique, so both
+    # solvers sum the same entries in the same order.
+    rng = np.random.default_rng(6)
+    for _ in range(30):
+        k = int(rng.integers(1, 9))
+        n = int(rng.integers(k, 60))
+        pi_hat, pi_true = random_row_stochastic(rng, n, k), random_row_stochastic(rng, n, k)
+        cost = np.abs(pi_hat[:, :, None] - pi_true[:, None, :]).sum(axis=0)
+        assert hamming_error(pi_hat, pi_true) == _scipy_cost(cost) / n
+        theta_hat, theta_true = rng.standard_normal((n, k)), rng.standard_normal((n, k))
+        cost = ((theta_hat[:, :, None] - theta_true[:, None, :]) ** 2).sum(axis=0)
+        expected = float(np.sqrt(_scipy_cost(cost)) / np.linalg.norm(theta_true))
+        assert relative_error(theta_hat, theta_true) == expected
+
+
+def test_assignment_avoids_infinite_costs_and_rejects_infeasible_ones():
+    inf = np.inf
+    cost = np.array([[inf, 1.0, 5.0], [2.0, inf, inf], [inf, 3.0, 0.5]])
+    assert _assignment(cost) == [1, 0, 2]
+    with pytest.raises(DataFormatError):
+        _assignment(np.array([[inf, 1.0], [inf, 2.0]]))
+    huge = np.full((4, 2), 1.7e308)
+    with np.errstate(over="ignore"), pytest.raises(DataFormatError):
+        hamming_error(huge, -huge)
