@@ -23,8 +23,6 @@ from .types import (
     SampleDiagnostics,
     validate_model_spec,
 )
-from .linalg import TruncatedSVD, solve_small_inverse, top_k_svd
-from .vertex_hunting import successive_projection
 from .sampling import (
     Bernoulli,
     Binomial,
@@ -83,7 +81,6 @@ __all__ = [
     "ResponseMatrix",
     "SampleDiagnostics",
     "SignedBinary",
-    "TruncatedSVD",
     "Uniform",
     "WgomError",
     "accuracy_rate",
@@ -105,8 +102,5 @@ __all__ = [
     "scgoma",
     "select_k",
     "simulation_spec",
-    "solve_small_inverse",
-    "successive_projection",
-    "top_k_svd",
     "validate_model_spec",
 ]

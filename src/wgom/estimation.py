@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateRankError, DimensionError, RankDeficiencyError
 from .linalg import TruncatedSVD, _check_spectrum, _decompose, _leading, _spectrum_rank, solve_small_inverse
 from .types import EstimationResult, MembershipMatrix, _check_seed, _is_count, response_array
-from .vertex_hunting import _projection_prefix, _projection_searches
+from .vertex_hunting import _projection_searches
 
 METHODS = ("scgoma", "rmsp")
 IDEAL_RANK_RTOL = 1e-10
@@ -124,7 +124,7 @@ def scgoma(responses, k: int, *, seed: int = 0) -> EstimationResult:
     regressed against the rank-k reconstruction.
 
     ``seed`` feeds the randomized SVD path, taken when min(N, J) > 50 for
-    k <= 15 (see ``linalg.top_k_svd``).
+    k <= 15 (see the ``linalg`` module docstring).
 
     Raises
     ------
@@ -247,7 +247,7 @@ def _sweep_fitter(r: np.ndarray, estimator, k_max: int, *, seed: int = 0):
             return _scgoma_fit(prefix, vertices)
 
         return scgoma_memberships, _scgoma_finish
-    vertices, failure = _projection_prefix(r, k_max)
+    vertices, failure = _projection_searches(r, [r.shape[1]], [k_max])[0]
 
     def memberships(k):
         if k > len(vertices):

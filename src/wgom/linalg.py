@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRankError, DimensionError
-from .types import _check_seed, _is_count
+from .errors import DegenerateRankError
 
 SKETCH_MIN_WIDTH = 25
 SKETCH_OVERSAMPLE = 10
@@ -34,14 +33,6 @@ class TruncatedSVD:
     left: np.ndarray
     singulars: np.ndarray
     right: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return len(self.singulars)
-
-    def reconstruct(self) -> np.ndarray:
-        """Best rank-k approximation left @ diag(singulars) @ right.T."""
-        return (self.left * self.singulars) @ self.right.T
 
 
 def _fix_signs(u: np.ndarray, vt: np.ndarray) -> None:
@@ -66,40 +57,6 @@ def _check_spectrum(s: np.ndarray, k: int) -> None:
             f"matrix is numerically rank deficient: sigma_{k} = {s[k - 1]:.3g} "
             f"with sigma_1 = {s[0]:.3g}"
         )
-
-
-def top_k_svd(matrix, k: int, *, seed: int = 0) -> TruncatedSVD:
-    """Top-k singular value decomposition of a dense real matrix.
-
-    Dense (the full thin SVD) when the randomized sketch of
-    min(max(k + 10, 25), min(N, J)) columns would cover half of min(N, J) or
-    more, randomized otherwise.
-
-    Parameters
-    ----------
-    matrix : (N, J) array_like
-    k : int
-        Number of leading singular triplets, 1 <= k <= min(N, J).
-    seed : int
-        Seed for the randomized path; an integer >= 0 on either path.
-
-    Raises
-    ------
-    DimensionError
-        If k is not an integer (a bool is not) in [1, min(N, J)].
-    ConfigError
-        If seed is not an integer >= 0 (a bool is not).
-    DegenerateRankError
-        If sigma_k < 1e-12 * sigma_1 (numerically rank deficient).
-    """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2:
-        raise DimensionError(f"expected a 2-d matrix, got ndim={a.ndim}")
-    side = min(a.shape)
-    if not (_is_count(k) and 1 <= k <= side):
-        raise DimensionError(f"k={k!r} outside [1, min(N, J)] = [1, {side}]")
-    _check_seed(seed)
-    return _leading(*_decompose(a, k, seed=seed), k)
 
 
 def _decompose(a: np.ndarray, k: int, *, seed: int = 0):
@@ -142,18 +99,15 @@ def _randomized_svd(a: np.ndarray, k: int, *, seed: int = 0):
     return q @ ub, s, vt
 
 
-def solve_small_inverse(matrix) -> tuple[np.ndarray, bool]:
-    """Invert a square matrix, falling back to the pseudo-inverse.
+def solve_small_inverse(matrix: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Invert a square float matrix, falling back to the pseudo-inverse.
 
     Returns ``(inverse, used_pseudo)``.  The side is not limited (the
     estimators pass K x K Gram matrices).  The fallback triggers when the
     smallest singular value drops below 1e-10 times the largest (or the
     matrix is exactly zero), so a result is always produced.
     """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    s = np.linalg.svd(a, compute_uv=False)
+    s = np.linalg.svd(matrix, compute_uv=False)
     if s[0] == 0.0 or s[-1] < PINV_FALLBACK_RTOL * s[0]:
-        return np.linalg.pinv(a), True
-    return np.linalg.inv(a), False
+        return np.linalg.pinv(matrix), True
+    return np.linalg.inv(matrix), False

@@ -22,41 +22,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, RankDeficiencyError
-from .types import _is_count
-
 TIE_RTOL = 1e-12
 ZERO_RESIDUAL_TOL = 1e-12
 # Rounding bound of one downdate, per unit of (row length + picks) and
 # relative to the largest squared row norm: a length-d dot product errs by
 # about d eps, and the basis departs from orthonormality by about t eps.
 DOWNDATE_RTOL = 4 * np.finfo(float).eps
-
-
-def successive_projection(rows, k: int) -> np.ndarray:
-    """Select k rows that span the enclosing simplex of all rows.
-
-    Returns the k selected row indices as an int array, in selection order.
-
-    Each step picks the row with the largest residual Euclidean norm (ties
-    within 1e-12 relative go to the lowest index), then projects every row
-    onto the orthogonal complement of the picked direction.  The picked
-    direction is re-orthogonalized once against the earlier ones before use.
-    The residual norms are downdated, and recomputed exactly wherever a pick
-    depends on them (see ``_projection_searches``).
-
-    Raises
-    ------
-    DimensionError
-        If k is not an integer (a bool is not) or exceeds min(n_rows, n_cols).
-    RankDeficiencyError
-        If the residual vanishes (max row norm < 1e-12) before k rows were
-        selected.
-    """
-    vertices, failure = _projection_prefix(rows, k)
-    if failure is not None:
-        raise RankDeficiencyError(failure)
-    return vertices
 
 
 def _exact_residuals(rows: np.ndarray, basis) -> np.ndarray:
@@ -75,30 +46,16 @@ def _exact_residuals(rows: np.ndarray, basis) -> np.ndarray:
     return rows - coefficients @ stack
 
 
-def _projection_prefix(rows, k: int) -> tuple[np.ndarray, str | None]:
-    """Successive projection that stops early instead of raising.
-
-    Returns ``(vertices, failure)``: the int index array of the picks made
-    before the residual vanished, and ``None`` or the reason the search
-    stopped short of k.  The search is greedy, so the first t picks of a
-    k-pick run are the picks of a t-pick run.
-    """
-    x = np.asarray(rows, dtype=float)
-    if x.ndim != 2:
-        raise DimensionError(f"expected a 2-d row matrix, got ndim={x.ndim}")
-    n, d = x.shape
-    if not (_is_count(k) and 1 <= k <= min(n, d)):
-        raise DimensionError(f"k={k!r} outside [1, min(n, d)] = [1, {min(n, d)}]")
-    return _projection_searches(x, [d], [k])[0]
-
-
 def _projection_searches(x: np.ndarray, widths, picks) -> list:
     """Successive projection on several column prefixes of ``x`` in lockstep.
 
     Search j picks up to ``picks[j]`` rows of ``x[:, :widths[j]]``, where
-    1 <= picks[j] <= min(N, widths[j]) and widths[j] <= d.  Returns one
-    ``(vertices, failure)`` pair per search, as ``_projection_prefix`` gives
-    it; each search's picks and stop are those it would make alone.  Step t
+    1 <= picks[j] <= min(N, widths[j]) and widths[j] <= d; none of this is
+    checked.  Returns one ``(vertices, failure)`` pair per search: the int
+    index array of the picks made, in selection order, and ``None`` or the
+    reason the search stopped short of its picks.  Each search's picks and
+    stop are those it would make alone, and since the search is greedy, the
+    first t picks of a k-pick search are the picks of a t-pick one.  Step t
     advances every search still short of its picks with one product
     X [u_j ...] for all their new directions and one exact recompute for all
     their bands (below).

@@ -13,6 +13,7 @@ import numpy as np
 
 from wgom import DegenerateRankError, DimensionError, RankDeficiencyError, modularity, rmsp, scgoma
 from wgom.types import response_array
+from wgom.vertex_hunting import _projection_searches
 
 
 def brute_hamming(pi_hat, pi_true) -> float:
@@ -92,7 +93,7 @@ def spa_oracle(rows, k):
     """Successive projection on an explicit residual matrix: every pick takes
     the largest residual row norm (ties within 1e-12 relative to the lowest
     index) and deflates the whole residual.  Returns ``(vertices, failure)``
-    as ``vertex_hunting._projection_prefix`` does."""
+    as each search of ``vertex_hunting._projection_searches`` does."""
     x = np.asarray(rows, dtype=float)
     n, d = x.shape
     residual = x.copy()
@@ -126,6 +127,20 @@ def spa_oracle(rows, k):
         residual -= np.outer(residual @ direction, direction)
 
     return chosen, None
+
+
+def spa_search(rows, k):
+    """``(vertices, failure)`` of one k-pick search on all columns of ``rows``."""
+    return _projection_searches(rows, [rows.shape[1]], [k])[0]
+
+
+def spa(rows, k):
+    """The k vertex picks of ``spa_search``; raises ``RankDeficiencyError``
+    if the search stops short of k."""
+    vertices, failure = spa_search(rows, k)
+    if failure is not None:
+        raise RankDeficiencyError(failure)
+    return vertices
 
 
 def select_by_single_fits(responses, method, k_max, *, seed=0):

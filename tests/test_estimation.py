@@ -24,7 +24,7 @@ from wgom import (
 )
 from wgom.errors import ConfigError
 from wgom.estimation import _normalize_clamped, _sweep_fitter
-from wgom.linalg import top_k_svd
+from wgom.linalg import _decompose, _leading
 
 from helpers import block_pi, brute_hamming
 
@@ -183,7 +183,7 @@ def test_over_specified_k_reports_its_clamped_rows():
     rng = np.random.default_rng(1)
     spec = simulation_spec(Normal(sigma2=1.0), n=60, rho=1.0, rng=rng)
     r = sample_response(spec, rng)[0].values
-    for method, result, x in (("scgoma", scgoma(r, 4), top_k_svd(r, 4).left), ("rmsp", rmsp(r, 4), r)):
+    for method, result, x in (("scgoma", scgoma(r, 4), _leading(*_decompose(r, 4), 4).left), ("rmsp", rmsp(r, 4), r)):
         corners = x[result.pure_index_set]
         z = np.maximum(0.0, x @ corners.T @ np.linalg.inv(corners @ corners.T))
         dead = z.sum(axis=1) <= 0.0
@@ -285,7 +285,6 @@ def test_unknown_estimator_name_is_a_config_error():
                 lambda: scgoma(values, 3, seed=seed),
                 lambda: select_k(values, "scgoma", 4, seed=seed),
                 lambda: ClassCountSweep(values, "rmsp", 4, seed=seed),
-                lambda: top_k_svd(values, 3, seed=seed),
             ):
                 with pytest.raises(ConfigError, match="seed must be"):
                     call()

@@ -206,7 +206,7 @@ def _counting(monkeypatch, name, modules, calls):
 
 @pytest.mark.parametrize("method", ["scgoma", "rmsp"])
 def test_run_experiment_decomposes_each_replicate_once(monkeypatch, method):
-    drawn, decompositions = [], []
+    drawn, decompositions, searches = [], [], []
     sample = experiments.sample_response
 
     def recording_sample(spec, rng):
@@ -216,14 +216,16 @@ def test_run_experiment_decomposes_each_replicate_once(monkeypatch, method):
 
     monkeypatch.setattr(experiments, "sample_response", recording_sample)
     _counting(monkeypatch, "_decompose", (linalg, estimation), decompositions)
-    _counting(monkeypatch, "_projection_prefix", (vertex_hunting, estimation), decompositions)
+    _counting(monkeypatch, "_projection_searches", (vertex_hunting, estimation), searches)
     rows = run_experiment(
         "rho", [1.0], Binomial(m=4), method=method, replicates=3, seed=2, n=60, k=3, k_max=5
     )
     assert rows[0].error is None and len(drawn) == 3
-    # Only decompositions of R itself count: scgoma also searches the rows of U_k.
+    # One vertex search per replicate's sweep: on the rows of U for scgoma, on
+    # R itself for rmsp.  So R is decomposed or searched exactly once.
+    assert len(searches) == 3
     for r in drawn:
-        assert sum(x.shape == r.shape and np.array_equal(x, r) for x in decompositions) == 1
+        assert sum(x.shape == r.shape and np.array_equal(x, r) for x in decompositions + searches) == 1
 
 
 @pytest.mark.parametrize("method", ["scgoma", "rmsp"])

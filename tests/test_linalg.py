@@ -2,10 +2,18 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from wgom import DegenerateRankError, DimensionError, solve_small_inverse, top_k_svd
-from wgom.linalg import _leading, _randomized_svd
+from wgom import DegenerateRankError, DimensionError, scgoma
+from wgom.linalg import PINV_FALLBACK_RTOL, _decompose, _leading, _randomized_svd, solve_small_inverse
 
 from helpers import block_pi
+
+
+def top_k(a, k, seed=0):
+    return _leading(*_decompose(a, k, seed=seed), k)
+
+
+def reconstruct(svd):
+    return (svd.left * svd.singulars) @ svd.right.T
 
 
 def dense(a, k):
@@ -18,7 +26,7 @@ def randomized(a, k, seed):
 
 def test_diagonal_matrix_singular_values():
     a = np.diag([3.0, 2.0, 1.0, 0.0])
-    svd = top_k_svd(a, 2)
+    svd = top_k(a, 2)
     assert np.allclose(svd.singulars, [3.0, 2.0], atol=1e-12)
 
 
@@ -27,8 +35,8 @@ def test_exact_rank_k_reconstruction():
     pi = block_pi(40, 3, 10)
     theta = rng.random((25, 3))
     r0 = pi @ theta.T
-    svd = top_k_svd(r0, 3)
-    err = np.linalg.norm(r0 - svd.reconstruct(), 2)
+    svd = top_k(r0, 3)
+    err = np.linalg.norm(r0 - reconstruct(svd), 2)
     assert err <= 1e-8 * svd.singulars[0]
 
 
@@ -37,7 +45,7 @@ def test_matches_independent_full_svd_driver():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((50, 30))
     oracle = scipy.linalg.svd(a, compute_uv=False, lapack_driver="gesvd")
-    svd = top_k_svd(a, 5)
+    svd = top_k(a, 5)
     assert np.abs(svd.singulars - oracle[:5]).max() <= 1e-9
 
 
@@ -48,8 +56,8 @@ def test_eckart_young_bound_against_full_oracle():
         a = rng.standard_normal((n, m))
         full = scipy.linalg.svd(a, compute_uv=False, lapack_driver="gesvd")
         for k in (1, 3, min(n, m) // 2):
-            svd = top_k_svd(a, k)
-            err = np.linalg.norm(a - svd.reconstruct(), 2)
+            svd = top_k(a, k)
+            err = np.linalg.norm(a - reconstruct(svd), 2)
             tail = full[k] if k < len(full) else 0.0
             assert err <= tail + 1e-8 * full[0]
 
@@ -57,7 +65,7 @@ def test_eckart_young_bound_against_full_oracle():
 def test_orthonormal_columns():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((60, 40))
-    svd = top_k_svd(a, 7)
+    svd = top_k(a, 7)
     assert np.abs(svd.left.T @ svd.left - np.eye(7)).max() <= 1e-8
     assert np.abs(svd.right.T @ svd.right - np.eye(7)).max() <= 1e-8
     assert (np.diff(svd.singulars) <= 1e-12).all()
@@ -67,8 +75,8 @@ def test_orthonormal_columns():
 def test_sign_convention_is_deterministic():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((30, 20))
-    first = top_k_svd(a, 4)
-    second = top_k_svd(a.copy(), 4)
+    first = top_k(a, 4)
+    second = top_k(a.copy(), 4)
     assert np.array_equal(first.left, second.left)
     for j in range(4):
         pivot = np.argmax(np.abs(first.left[:, j]))
@@ -93,7 +101,7 @@ def test_auto_switches_path_where_the_sketch_covers_half_the_min_side(k, n, dens
     rng = np.random.default_rng(k)
     for side, dense_path in ((dense_side, True), (dense_side + 1, False)):
         a = rng.standard_normal((n, side))
-        auto = top_k_svd(a, k, seed=7)
+        auto = top_k(a, k, seed=7)
         pinned = dense(a, k) if dense_path else randomized(a, k, seed=7)
         for got, want in zip(
             (auto.left, auto.singulars, auto.right),
@@ -123,14 +131,15 @@ def test_randomized_internal_shapes():
 
 
 def test_dimension_and_degeneracy_errors():
+    # The class count is checked where the estimators enter the kernels.
     for k in (4, 0, 2.0, True, "2"):
         with pytest.raises(DimensionError):
-            top_k_svd(np.eye(3), k)
+            scgoma(np.eye(3), k)
     with pytest.raises(DegenerateRankError):
-        top_k_svd(np.zeros((4, 4)), 1)
+        top_k(np.zeros((4, 4)), 1)
     rank1 = np.outer(np.arange(1.0, 5.0), np.ones(3))
     with pytest.raises(DegenerateRankError):
-        top_k_svd(rank1, 2)
+        top_k(rank1, 2)
 
 
 def test_small_inverse_identity_and_diagonal():
@@ -146,6 +155,16 @@ def test_small_inverse_pseudo_fallback():
     inv, fallback = solve_small_inverse(np.ones((2, 2)))
     assert fallback
     assert np.allclose(inv, np.full((2, 2), 0.25), atol=1e-12)
+    # Diagonal matrices on either side of the threshold: their singular
+    # values are exact, so rounding cannot move them across it.
+    inv, fallback = solve_small_inverse(np.diag([1.0, 2 * PINV_FALLBACK_RTOL]))
+    assert not fallback
+    assert np.allclose(inv, np.diag([1.0, 0.5 / PINV_FALLBACK_RTOL]), rtol=1e-12, atol=0.0)
+    # Past the threshold the flag reports the pseudo-inverse, which at this
+    # conditioning still equals the inverse.
+    inv, fallback = solve_small_inverse(np.diag([1.0, 0.5 * PINV_FALLBACK_RTOL]))
+    assert fallback
+    assert np.allclose(inv, np.diag([1.0, 2 / PINV_FALLBACK_RTOL]), rtol=1e-12, atol=0.0)
 
 
 def test_small_inverse_residual_bound():
@@ -158,8 +177,3 @@ def test_small_inverse_residual_bound():
         s = np.linalg.svd(a, compute_uv=False)
         kappa = s[0] / s[-1]
         assert np.abs(a @ inv - np.eye(6)).max() <= 1e-8 * kappa
-
-
-def test_small_inverse_shape_limits():
-    with pytest.raises(DimensionError):
-        solve_small_inverse(np.ones((2, 3)))

@@ -217,7 +217,7 @@ def test_sweep_select_scores_memberships_and_finishes_no_fit(monkeypatch, method
     # sweep makes one vertex search: scgoma's advances every prefix U[:, :k]
     # in lockstep, rmsp's runs to k_max picks.
     calls = {}
-    for name in ("_item_regression", "EstimationResult", "_projection_searches", "_projection_prefix", "_simplex_memberships"):
+    for name in ("_item_regression", "EstimationResult", "_projection_searches", "_simplex_memberships"):
 
         def wrapper(*args, _original=getattr(estimation, name), _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
@@ -226,10 +226,9 @@ def test_sweep_select_scores_memberships_and_finishes_no_fit(monkeypatch, method
         monkeypatch.setattr(estimation, name, wrapper)
     sweep = ClassCountSweep(_binomial_responses(120), method, 6)
     k_hat, _ = sweep.select()
-    searches = {"scgoma": {"_projection_searches": 1}, "rmsp": {"_projection_prefix": 1}}[method]
-    assert calls == {**searches, "_simplex_memberships": 6}
+    assert calls == {"_projection_searches": 1, "_simplex_memberships": 6}
     result = sweep.fit(k_hat)
-    assert calls == {**searches, "_simplex_memberships": 6, "_item_regression": 1, "EstimationResult": 1}
+    assert calls == {"_projection_searches": 1, "_simplex_memberships": 6, "_item_regression": 1, "EstimationResult": 1}
     assert result.membership_hat.n_classes == k_hat
 
 

@@ -36,8 +36,6 @@ from wgom import (
     scgoma,
     select_k,
     simulation_spec,
-    successive_projection,
-    top_k_svd,
 )
 from wgom import modularity
 from wgom.cli import main
@@ -431,8 +429,6 @@ def test_python_api_returns_or_raises_wgom_error(r, k, k_other, seed, method, k_
         lambda: ideal_rmsp(r, k),
         lambda: sweep(first_fit=True),
         lambda: select_k(r, method, k, seed=seed),
-        lambda: top_k_svd(r, k, seed=seed),
-        lambda: successive_projection(r, k),
         lambda: accuracy_rate(k_hats, k),
     ]
     for call in calls:

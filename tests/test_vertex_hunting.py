@@ -6,15 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wgom import DimensionError, RankDeficiencyError, successive_projection
+from wgom import DimensionError, RankDeficiencyError, rmsp
 from wgom import vertex_hunting
-from wgom.vertex_hunting import _projection_prefix, _projection_searches
+from wgom.vertex_hunting import _projection_searches
 
-from helpers import block_pi, random_row_stochastic, spa_oracle
+from helpers import block_pi, random_row_stochastic, spa, spa_oracle, spa_search
 
 
 def test_orthonormal_corners_selected_in_index_order():
-    result = successive_projection(np.eye(3), 3)
+    result = spa(np.eye(3), 3)
     assert result.tolist() == [0, 1, 2]
 
 
@@ -24,7 +24,7 @@ def test_separable_rows_recover_pure_rows():
     assert abs(np.linalg.det(x)) > 1e-6
     pi = np.vstack([np.eye(3), [[1 / 3, 1 / 3, 1 / 3]], [[0.6, 0.3, 0.1]], [[0.1, 0.1, 0.8]]])
     rows = pi @ x
-    selected = successive_projection(rows, 3)
+    selected = spa(rows, 3)
     assert sorted(selected.tolist()) == [0, 1, 2]
     # Least-squares oracle: every row must be a convex combination of the
     # selected rows with negligible residual.
@@ -46,7 +46,7 @@ def test_duplicated_vertex_never_selected_twice():
             [0.5, 1.125],
         ]
     )
-    selected = successive_projection(rows, 2)
+    selected = spa(rows, 2)
     assert selected.tolist() == [0, 2]
     # Brute-force oracle: the selected pair spans a maximal-volume simplex.
     best = max(
@@ -60,34 +60,36 @@ def test_permutation_equivariance():
     rng = np.random.default_rng(1)
     pi = np.vstack([np.eye(4), rng.dirichlet(np.ones(4), size=20)])
     rows = pi @ rng.standard_normal((4, 4))
-    base = successive_projection(rows, 4)
+    base = spa(rows, 4)
     perm = rng.permutation(len(rows))
-    permuted = successive_projection(rows[perm], 4)
+    permuted = spa(rows[perm], 4)
     assert perm[permuted].tolist() == base.tolist()
 
 
 def test_scaling_invariance_of_selection():
     rng = np.random.default_rng(2)
     rows = rng.standard_normal((30, 5))
-    base = successive_projection(rows, 4)
-    scaled = successive_projection(7.3 * rows, 4)
+    base = spa(rows, 4)
+    scaled = spa(7.3 * rows, 4)
     assert scaled.tolist() == base.tolist()
 
 
 def test_rank_deficiency_error():
     rows = np.outer([1.0, 2.0, 3.0], [1.0, 0.0, 0.0])
     with pytest.raises(RankDeficiencyError):
-        successive_projection(rows, 2)
+        spa(rows, 2)
 
 
 def test_all_zero_rows_error():
     with pytest.raises(RankDeficiencyError):
-        successive_projection(np.zeros((4, 3)), 1)
+        spa(np.zeros((4, 3)), 1)
 
 
 def test_dimension_error():
+    # The pick count is checked where rmsp enters the search on raw rows; the
+    # search itself takes it unchecked.
     with pytest.raises(DimensionError):
-        successive_projection(np.eye(3), 4)
+        rmsp(np.eye(3), 4)
 
 
 def test_exact_recovery_on_simulated_simplex():
@@ -95,7 +97,7 @@ def test_exact_recovery_on_simulated_simplex():
     pi = block_pi(50, 3, 5)
     x = rng.standard_normal((3, 7))
     rows = pi @ x
-    selected = successive_projection(rows, 3)
+    selected = spa(rows, 3)
     classes = {int(np.argmax(pi[i])) for i in selected}
     assert all(pi[i].max() == 1.0 for i in selected)
     assert classes == {0, 1, 2}
@@ -148,7 +150,7 @@ def test_downdated_search_matches_residual_oracle(kind, seed, n, d, rank, on_lef
     if on_left_factor:
         rows = left_factor(rows)
     k = min(rank + k_extra, *rows.shape)
-    vertices, failure = _projection_prefix(rows, k)
+    vertices, failure = spa_search(rows, k)
     want, want_failure = spa_oracle(rows, k)
     assert vertices.tolist() == want.tolist()
     assert (failure is None) == (want_failure is None)
@@ -202,13 +204,13 @@ def test_exact_rank_input_stops_after_its_rank():
     rng = np.random.default_rng(4)
     rows = random_row_stochastic(rng, 40, 3) @ rng.standard_normal((3, 10))
     rows[:3] = rng.standard_normal((3, 3)) @ rows[3:6]
-    vertices, failure = _projection_prefix(rows, 6)
+    vertices, failure = spa_search(rows, 6)
     assert len(vertices) == 3
     assert failure.startswith("residual vanished after 3 of 6 selections")
     assert vertices.tolist() == spa_oracle(rows, 6)[0].tolist()
     with pytest.raises(RankDeficiencyError, match="after 3 of 6"):
-        successive_projection(rows, 6)
-    assert successive_projection(rows, 3).tolist() == vertices.tolist()
+        spa(rows, 6)
+    assert spa(rows, 3).tolist() == vertices.tolist()
 
 
 @pytest.mark.parametrize("last, picked", [(1.5e-12, 3), (0.5e-12, 2)])
@@ -220,7 +222,7 @@ def test_vanishing_threshold_reads_the_last_residual(last, picked):
     rotation, _ = np.linalg.qr(rng.standard_normal((6, 6)))
     axes = np.diag([1.0, 0.5, last]) @ rotation[:3]
     rows = np.vstack([axes, random_row_stochastic(rng, 12, 2) @ axes[:2]])
-    vertices, failure = _projection_prefix(rows, 3)
+    vertices, failure = spa_search(rows, 3)
     assert vertices.tolist() == [0, 1, 2][:picked]
     assert (failure is None) == (picked == 3)
     assert spa_oracle(rows, 3)[0].tolist() == vertices.tolist()
@@ -249,7 +251,7 @@ def test_near_duplicate_rows_trigger_the_exact_recompute(monkeypatch):
     rows = np.vstack([corners, random_row_stochastic(rng, 20, 3) @ corners, corners[:1]])
     rows[-1] += 1e-9 * rng.standard_normal(5)
     sizes = recompute_sizes(monkeypatch)
-    vertices, failure = _projection_prefix(rows, 4)
+    vertices, failure = spa_search(rows, 4)
     assert failure is None
     assert vertices.tolist() == spa_oracle(rows, 4)[0].tolist()
     assert sorted(vertices.tolist()) == [0, 1, 2, len(rows) - 1]
@@ -259,7 +261,7 @@ def test_near_duplicate_rows_trigger_the_exact_recompute(monkeypatch):
 def test_well_separated_picks_recompute_only_the_picked_row(monkeypatch):
     rows = np.random.default_rng(7).standard_normal((50, 10))
     sizes = recompute_sizes(monkeypatch)
-    vertices, _ = _projection_prefix(rows, 8)
+    vertices, _ = spa_search(rows, 8)
     assert sizes == [1] * 7
     assert vertices.tolist() == spa_oracle(rows, 8)[0].tolist()
 
@@ -268,7 +270,7 @@ def test_search_holds_no_residual_copy():
     rows = np.random.default_rng(8).standard_normal((400, 300))
     tracemalloc.start()
     try:
-        _projection_prefix(rows, 15)
+        spa_search(rows, 15)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -278,10 +280,8 @@ def test_search_holds_no_residual_copy():
 @pytest.mark.parametrize("k", [True, 2.0, 2.5, "2", None])
 def test_non_integer_pick_count_is_a_dimension_error(k):
     with pytest.raises(DimensionError):
-        _projection_prefix(np.eye(3), k)
-    with pytest.raises(ValueError):
-        successive_projection(np.eye(3), k)
+        rmsp(np.eye(3), k)
 
 
 def test_numpy_integer_pick_count_passes():
-    assert successive_projection(np.eye(3), np.int64(2)).tolist() == [0, 1]
+    assert rmsp(np.eye(3), np.int64(2)).pure_index_set == [0, 1]
