@@ -1,51 +1,33 @@
 """Membership and item-parameter estimators.
 
-Both estimators run one tail on row embeddings X: vertex search on the rows of
-X, clamped simplex weights, row normalization, and an item-parameter
-regression.  ``scgoma`` uses the left SVD factor of R as X and regresses on the
-rank-K reconstruction; ``rmsp`` uses R for both.  The oracle variants
+Both estimators run one pipeline on row embeddings X: vertex search on the
+rows of X, clamped simplex weights, row normalization, and an item-parameter
+regression.  ``scgoma`` uses the left SVD factor U of R as X and regresses on
+the rank-K reconstruction; ``rmsp`` uses R for both.  The oracle variants
 ``ideal_scgoma`` / ``ideal_rmsp`` check that a noiseless expected matrix has
 rank exactly K and then run the matching estimator, which recovers it exactly.
 
-``_sweep_fitter`` is the one route from a method name in ``METHODS`` and a K to
-a fit.  It fits every K of a class-count sweep on an already checked R from one
-decomposition and one vertex search: for ``scgoma`` one top-K_max SVD and one
-lockstep search over its leading prefixes U[:, :K], for ``rmsp`` one
-K_max-pick search on R.  Each fit has two stages.  The membership stage
-(vertex search, clamped simplex weights, row normalization) gives all that
-modularity scoring reads; the finishing stage (item regression, the singular
-values of the inverted system, the frozen ``EstimationResult``) runs only for
-a fit that is asked for.  A single fit, oracles included, is the K-th fit of
-a one-K sweep; ``modularity.ClassCountSweep`` caches both stages of a longer
-one.
+Every fit runs in ``_Sweep``: the fits of a class-count sweep over
+K = 1..K_max from one decomposition and one vertex search.  Each fit has two
+stages, each computed once per K.  The membership stage (``memberships``)
+gives all that modularity scoring reads; the finishing stage (``fit``: item
+regression, singular values, the frozen ``EstimationResult``) runs only for
+a K that is asked for.  A single fit, oracles included, is the K-th fit of a
+one-K sweep; ``modularity.ClassCountSweep`` is a sweep that also selects K.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import ConfigError, DegenerateRankError, DimensionError, RankDeficiencyError
-from .linalg import TruncatedSVD, _check_spectrum, _decompose, _leading, _spectrum_rank, solve_small_inverse
+from .linalg import _check_spectrum, _decompose, _fix_signs, _spectrum_rank, solve_small_inverse
 from .types import EstimationResult, MembershipMatrix, _check_seed, _is_count, response_array
 from .vertex_hunting import _projection_searches
 
 METHODS = ("scgoma", "rmsp")
 IDEAL_RANK_RTOL = 1e-10
 IDEAL_EXTRA_RANK_RTOL = 1e-8
-
-
-class _Memberships(NamedTuple):
-    """The membership stage of a fit at k: the row-normalized memberships
-    ``pi``, all that modularity scoring reads, and what finishing needs."""
-
-    pi: np.ndarray
-    n_clamped_rows: int
-    vertices: np.ndarray
-    # The rank-k system the fit inverted: scgoma's top-k TruncatedSVD of R,
-    # rmsp's vertex rows R[I].
-    system: TruncatedSVD | np.ndarray
 
 
 def _normalize_clamped(z: np.ndarray, k: int) -> tuple[np.ndarray, int]:
@@ -79,14 +61,13 @@ def _check_exact_rank(matrix: np.ndarray, k: int) -> None:
         )
 
 
-def _simplex_memberships(x: np.ndarray, vertices: np.ndarray):
+def _simplex_memberships(x: np.ndarray, vertices: np.ndarray) -> tuple[np.ndarray, int]:
     """Z = max(0, x C' (C C')^-1) for the corners C = x[vertices], row-normalized.
-    Returns (pi, number of rows that clamped to zero, C)."""
+    Returns (pi, number of rows that clamped to zero)."""
     corners = x[vertices]
     gram_inv, _ = solve_small_inverse(corners @ corners.T)
     z = np.maximum(0.0, x @ corners.T @ gram_inv)
-    pi, n_clamped = _normalize_clamped(z, len(vertices))
-    return pi, n_clamped, corners
+    return _normalize_clamped(z, len(vertices))
 
 
 def _item_regression(target_t_pi: np.ndarray, pi: np.ndarray) -> np.ndarray:
@@ -95,12 +76,98 @@ def _item_regression(target_t_pi: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return target_t_pi @ gram_inv
 
 
+class _Sweep:
+    """The fits of a class-count sweep over k = 1..k_max of one response
+    matrix, each stage computed once per k on first use.
+
+    The constructor checks its arguments, then decomposes and searches once.
+    ``"scgoma"`` makes one top-k_max SVD seeded with ``seed``, fixes the
+    signs of its passing prefix (the ks whose spectrum check passes) and runs
+    one lockstep search over the prefixes U[:, :k]; k is fitted on the first
+    k triplets and the picks a k-pick search on U[:, :k] makes.  For
+    k_max <= 15 every fit equals ``scgoma(R, k, seed=seed)`` exactly: every
+    k <= 15 takes the same SVD path and the same 25-column sketch.  Above
+    that the sweep sketches k_max + 10 columns (or goes dense), so where a
+    single fit is randomized the two agree only up to the sketch's accuracy.
+    ``"rmsp"`` gives k the first k picks of one k_max-pick search on R,
+    which are a k-pick search's, since the search is greedy.
+
+    Raises ``DimensionError`` if k_max is not an integer (a bool is not) in
+    [1, min(N, J)], and ``ConfigError`` for an unknown method name or a seed
+    that is not an integer >= 0.
+    """
+
+    def __init__(self, responses, estimator="scgoma", k_max: int = 15, *, seed: int = 0):
+        r = response_array(responses)
+        if not (_is_count(k_max) and 1 <= k_max <= min(r.shape)):
+            raise DimensionError(f"k={k_max!r} outside [1, min(N, J)] = [1, {min(r.shape)}]")
+        _check_seed(seed)
+        if not isinstance(estimator, str) or estimator not in METHODS:
+            raise ConfigError(f"unknown estimator {estimator!r}; expected one of {METHODS}")
+        self.responses, self.k_max = r, k_max
+        self._memberships, self._fits = {}, {}
+        if estimator == "rmsp":
+            self._svd = None
+            vertices, failure = _projection_searches(r, [r.shape[1]], [k_max])[0]
+            self._searches = [
+                (vertices[:k], None if k <= len(vertices) else f"k={k} needs {k} vertices: {failure}")
+                for k in range(1, k_max + 1)
+            ]
+            return
+        u, s, vt = self._svd = _decompose(r, k_max, seed=seed)
+        k_ok = _spectrum_rank(s, k_max)
+        # Signs are fixed per column, so one fix serves every passing prefix.
+        _fix_signs(u[:, :k_ok], vt[:k_ok])
+        widths = range(1, k_ok + 1)
+        self._searches = _projection_searches(u[:, :k_ok], widths, widths) if k_ok else []
+
+    def memberships(self, k: int) -> tuple[np.ndarray, int, np.ndarray]:
+        """``(pi, n_clamped_rows, vertices)`` at k, from the rows X_k
+        (U[:, :k] for scgoma, R for rmsp) at k's picks; ``pi`` is all that
+        modularity scoring reads.  Raises what the estimator raises at k, or
+        ``DimensionError`` unless k is an integer in [1, k_max]."""
+        if not (_is_count(k) and 1 <= k <= self.k_max):
+            raise DimensionError(f"k={k!r} outside [1, {self.k_max}], the sweep's k_max")
+        if k not in self._memberships:
+            if k > len(self._searches):  # only scgoma, past its passing prefix
+                _check_spectrum(self._svd[1], k)
+            vertices, failure = self._searches[k - 1]
+            if failure is not None:
+                raise RankDeficiencyError(failure)
+            x = self.responses if self._svd is None else self._svd[0][:, :k]
+            self._memberships[k] = (*_simplex_memberships(x, vertices), vertices)
+        return self._memberships[k]
+
+    def fit(self, k: int) -> EstimationResult:
+        """The estimate at k; raises what ``memberships(k)`` raises."""
+        pi, n_clamped, vertices = self.memberships(k)
+        if k not in self._fits:
+            if self._svd is None:
+                target_t_pi = self.responses.T @ pi
+                singular_values = np.linalg.svd(self.responses[vertices], compute_uv=False)
+            else:
+                # Rank-k reconstruction target, never materialized:
+                # Rhat' Pi = V Sigma (U' Pi).  Contiguous copies of the
+                # factors keep BLAS's rounding that of a k-column SVD's.
+                u, s, vt = self._svd
+                singular_values = s[:k].copy()
+                target_t_pi = (vt[:k].T.copy() * singular_values) @ (u[:, :k].copy().T @ pi)
+            self._fits[k] = EstimationResult(
+                membership_hat=MembershipMatrix(pi),
+                item_params_hat=_item_regression(target_t_pi, pi),
+                pure_index_set=vertices.tolist(),
+                singular_values=singular_values,
+                n_clamped_rows=n_clamped,
+            )
+        return self._fits[k]
+
+
 def _ideal_fit(expected, method: str, k: int) -> tuple[MembershipMatrix, np.ndarray]:
     r0 = response_array(expected)
     if not _is_count(k):
         raise DimensionError(f"k={k!r} is not an integer")
     _check_exact_rank(r0, k)
-    result = _single_fit(r0, method, k)
+    result = _Sweep(r0, method, k).fit(k)
     return result.membership_hat, result.item_params_hat
 
 
@@ -138,19 +205,7 @@ def scgoma(responses, k: int, *, seed: int = 0) -> EstimationResult:
     DimensionError
         If k exceeds min(N, J).
     """
-    return _single_fit(response_array(responses), "scgoma", k, seed=seed)
-
-
-def _scgoma_fit(svd: TruncatedSVD, vertices: np.ndarray) -> _Memberships:
-    pi, n_clamped, _ = _simplex_memberships(svd.left, vertices)
-    return _Memberships(pi, n_clamped, vertices, svd)
-
-
-def _scgoma_finish(fit: _Memberships) -> EstimationResult:
-    svd = fit.system
-    # Rank-k reconstruction target, never materialized: Rhat' Pi = V Sigma (U' Pi).
-    theta = _item_regression((svd.right * svd.singulars) @ (svd.left.T @ fit.pi), fit.pi)
-    return _result(fit, theta, svd.singulars)
+    return _Sweep(responses, "scgoma", k, seed=seed).fit(k)
 
 
 def ideal_rmsp(expected, k: int) -> tuple[MembershipMatrix, np.ndarray]:
@@ -165,93 +220,4 @@ def rmsp(responses, k: int) -> EstimationResult:
     R[I] (the rank-k system inverted here).  Errors mirror ``scgoma``; an
     all-zero response matrix surfaces as a vertex-search rank deficiency.
     """
-    return _single_fit(response_array(responses), "rmsp", k)
-
-
-def _rmsp_fit(r: np.ndarray, vertices: np.ndarray) -> _Memberships:
-    pi, n_clamped, corners = _simplex_memberships(r, vertices)
-    return _Memberships(pi, n_clamped, vertices, corners)
-
-
-def _rmsp_finish(r: np.ndarray, fit: _Memberships) -> EstimationResult:
-    theta = _item_regression(r.T @ fit.pi, fit.pi)
-    return _result(fit, theta, np.linalg.svd(fit.system, compute_uv=False))
-
-
-def _result(fit: _Memberships, theta: np.ndarray, singular_values: np.ndarray) -> EstimationResult:
-    return EstimationResult(
-        membership_hat=MembershipMatrix(fit.pi),
-        item_params_hat=theta,
-        pure_index_set=fit.vertices.tolist(),
-        singular_values=singular_values,
-        n_clamped_rows=fit.n_clamped_rows,
-    )
-
-
-def _single_fit(r: np.ndarray, method: str, k: int, *, seed: int = 0) -> EstimationResult:
-    """The finished K-th fit of a one-K sweep: what every single fit returns."""
-    memberships, finish = _sweep_fitter(r, method, k, seed=seed)
-    return finish(memberships(k))
-
-
-def _sweep_fitter(r: np.ndarray, estimator, k_max: int, *, seed: int = 0):
-    """The two stages of each fit of a class-count sweep over k = 1..k_max on
-    the checked response array ``r`` (as ``response_array`` returns it).
-
-    Returns ``(memberships, finish)``.  ``memberships(k)`` runs the membership
-    stage at k and raises what the estimator raises there; its ``pi`` is all
-    that modularity scoring reads, so selecting a class count calls only
-    this.  ``finish(memberships(k))`` runs the item regression and builds the
-    ``EstimationResult``, only for the fits someone asks for.  ``estimator``
-    is a name in ``METHODS``, and R is decomposed once per sweep.
-    ``"scgoma"`` makes one top-k_max SVD seeded with ``seed`` and one
-    lockstep search over its leading prefixes U[:, :k]
-    (``vertex_hunting._projection_searches``).  It fits k on the first k
-    triplets and the k-th search's picks, which are those of a k-pick search
-    on U[:, :k].  The spectrum check stays per k, on that prefix; since it
-    fails at every k past its first failure, signs are fixed once, on the
-    longest passing prefix, and the search covers that prefix's ks.  For
-    k_max <= 15 this equals ``scgoma(R, k, seed=seed)`` exactly, since every
-    k <= 15 takes the same SVD path and the same 25-column sketch.  For
-    k_max > 15 the sweep sketches k_max + 10 columns (or goes dense where a
-    single fit would sketch 25), so where a single fit is randomized the two
-    agree only up to the sketch's accuracy.  ``"rmsp"`` gives k the first k
-    picks of one k_max-pick vertex search, which are exactly the picks of a
-    k-pick search, since the search is greedy; if that search stops after t
-    picks, every k > t raises ``RankDeficiencyError``.
-
-    Raises ``DimensionError`` if k_max is not an integer (a bool is not) in
-    [1, min(N, J)], and ``ConfigError`` for an unknown method name or a seed
-    that is not an integer >= 0.
-    """
-    if not (_is_count(k_max) and 1 <= k_max <= min(r.shape)):
-        raise DimensionError(f"k={k_max!r} outside [1, min(N, J)] = [1, {min(r.shape)}]")
-    _check_seed(seed)
-    if not isinstance(estimator, str) or estimator not in METHODS:
-        raise ConfigError(f"unknown estimator {estimator!r}; expected one of {METHODS}")
-    if estimator == "scgoma":
-        u, s, vt = _decompose(r, k_max, seed=seed)
-        # Signs are fixed per column, so one fix serves every passing prefix.
-        k_ok = _spectrum_rank(s, k_max)
-        top = _leading(u, s, vt, k_ok) if k_ok else None
-        widths = range(1, k_ok + 1)
-        searches = _projection_searches(top.left, widths, widths) if k_ok else []
-
-        def scgoma_memberships(k):
-            if k > k_ok:
-                _check_spectrum(s, k)
-            vertices, failure = searches[k - 1]
-            if failure is not None:
-                raise RankDeficiencyError(failure)
-            prefix = TruncatedSVD(top.left[:, :k].copy(), top.singulars[:k].copy(), top.right[:, :k].copy())
-            return _scgoma_fit(prefix, vertices)
-
-        return scgoma_memberships, _scgoma_finish
-    vertices, failure = _projection_searches(r, [r.shape[1]], [k_max])[0]
-
-    def memberships(k):
-        if k > len(vertices):
-            raise RankDeficiencyError(f"k={k} needs {k} vertices: {failure}")
-        return _rmsp_fit(r, vertices[:k])
-
-    return memberships, lambda fit: _rmsp_finish(r, fit)
+    return _Sweep(responses, "rmsp", k).fit(k)

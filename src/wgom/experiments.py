@@ -112,6 +112,15 @@ def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(replicate)]))
 
 
+def _allocate(make, rows: int, cols: int, name: str) -> np.ndarray:
+    """``make((rows, cols))``, or ``ConfigError`` where numpy cannot allocate
+    that many floats."""
+    try:
+        return make((rows, cols))
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"cannot allocate the {rows} x {cols} {name}") from exc
+
+
 def block_memberships(n: int, k: int, n_pure_per_class: int, mixed="uniform", rng=None) -> MembershipMatrix:
     """Pure-block membership matrix: class c owns rows [c*n0, (c+1)*n0).
 
@@ -120,12 +129,13 @@ def block_memberships(n: int, k: int, n_pure_per_class: int, mixed="uniform", rn
     whose first k-1 weights are drawn independently from U(0, 1/k) with the
     last taking the remainder.
     """
-    k, n_pure_per_class = config_value("k", k), config_value("n_pure_per_class", n_pure_per_class)
+    n, k = config_value("n", n), config_value("k", k)
+    n_pure_per_class = config_value("n_pure_per_class", n_pure_per_class)
     if n_pure_per_class * k > n:
         raise ConfigError(
             f"{k} classes x {n_pure_per_class} pure subjects exceed n={n}"
         )
-    rows = np.zeros((n, k))
+    rows = _allocate(np.zeros, n, k, "membership matrix")
     for cls in range(k):
         rows[cls * n_pure_per_class : (cls + 1) * n_pure_per_class, cls] = 1.0
     n_mixed = n - k * n_pure_per_class
@@ -180,13 +190,13 @@ def random_item_params(
     (useful for finite-support distributions whose admissible interval does
     not start at zero); ``rho`` is ignored in that mode.
     """
+    n_items, k = config_value("j", n_items), config_value("k", k)
     if mean_range is not None:
         lo, hi = config_value("mean_range", mean_range)
-        values = lo + (hi - lo) * rng.random((n_items, k))
-        return ItemParams(values)
+        return ItemParams(lo + (hi - lo) * _allocate(rng.random, n_items, k, "item parameter matrix"))
     rho = config_value("rho", rho)
-    b = rng.uniform(-1.0, 1.0, (n_items, k)) if signed else rng.random((n_items, k))
-    return ItemParams(rho * b)
+    draw = (lambda shape: rng.uniform(-1.0, 1.0, shape)) if signed else rng.random
+    return ItemParams(rho * _allocate(draw, n_items, k, "item parameter matrix"))
 
 
 def default_item_params(distribution, n_items: int, k: int, rho: float, rng, mean_range=None) -> ItemParams:
@@ -214,6 +224,7 @@ def simulation_spec(
 ) -> ModelSpec:
     """Model spec with the default simulation geometry and item-parameter
     policy (see ``default_item_params``)."""
+    n = config_value("n", n)
     j = n // 2 if j is None else j
     n_pure = n // 4 if n_pure is None else n_pure
     membership = block_memberships(n, k, n_pure, mixed=mixed, rng=rng)

@@ -13,8 +13,6 @@ given seed, so its top-k factors are exactly the leading k of the top-15 ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateRankError
@@ -24,15 +22,6 @@ SKETCH_OVERSAMPLE = 10
 POWER_ITERATIONS = 4
 DEGENERATE_RTOL = 1e-12
 PINV_FALLBACK_RTOL = 1e-10
-
-
-@dataclass(frozen=True)
-class TruncatedSVD:
-    """Rank-k factors: left (N x k), singulars (k, nonincreasing), right (J x k)."""
-
-    left: np.ndarray
-    singulars: np.ndarray
-    right: np.ndarray
 
 
 def _fix_signs(u: np.ndarray, vt: np.ndarray) -> None:
@@ -67,18 +56,6 @@ def _decompose(a: np.ndarray, k: int, *, seed: int = 0):
     if 2 * _sketch_width(k, side) >= side:
         return np.linalg.svd(a, full_matrices=False)
     return _randomized_svd(a, k, seed=seed)
-
-
-def _leading(u: np.ndarray, s: np.ndarray, vt: np.ndarray, k: int) -> TruncatedSVD:
-    """The first k triplets of a decomposition as contiguous, sign-fixed
-    copies, after the spectrum check at k.  Sign fixing is per column, so the
-    result does not depend on how many triplets the decomposition holds."""
-    _check_spectrum(s, k)
-    u = u[:, :k].copy()
-    s = s[:k].copy()
-    vt = vt[:k, :].copy()
-    _fix_signs(u, vt)
-    return TruncatedSVD(left=u, singulars=s, right=vt.T.copy())
 
 
 def _sketch_width(k: int, side: int) -> int:

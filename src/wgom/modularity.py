@@ -15,17 +15,19 @@ Mixed-sign R walks the upper triangle of A in row blocks (about
 A- = A+ - A, so A- is never formed.  At N = 6000, J = 300 and 15 membership
 matrices this takes about 0.18 s on a 2-core Xeon (OpenBLAS, 2 threads) and
 peaks at 13.5 MB under tracemalloc.
+
+``ClassCountSweep`` is the estimators' one fit engine, ``estimation._Sweep``,
+plus ``select``: it scores the cached membership stage of every k and
+finishes no fit.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
 from . import estimation
 from .errors import DegenerateRankError, DimensionError, RankDeficiencyError, WgomError
-from .types import EstimationResult, _is_count, membership_array, response_array
+from .types import _is_count, membership_array, response_array
 
 # Byte budget of one row block of A = RR' in the mixed-sign pass.
 BLOCK_BYTES = 4 * 2**20
@@ -90,40 +92,22 @@ def fuzzy_weighted_modularity(responses, membership) -> float:
     return _scores(response_array(responses), [membership])[0]
 
 
-class ClassCountSweep:
+class ClassCountSweep(estimation._Sweep):
     """The fits of a class-count sweep over k = 1..k_max, each computed once on
     first use, and the k among them whose memberships maximize modularity.
 
-    ``estimator`` is ``"scgoma"`` or ``"rmsp"``.  The constructor checks R
-    (``DimensionError`` unless k_max is an integer in [1, min(N, J)],
+    ``estimator`` is ``"scgoma"`` or ``"rmsp"``.  The constructor raises
+    ``DimensionError`` unless k_max is an integer in [1, min(N, J)], and
     ``ConfigError`` for any other estimator or a seed that is not an
-    integer >= 0) and decomposes it once: ``"scgoma"`` fits every k from one
-    top-k_max SVD seeded with ``seed`` and one lockstep search over its
-    leading prefixes, and ``"rmsp"`` from one k_max-pick successive-projection
-    pass.  Each fit then equals the single-k ``scgoma``/``rmsp`` fit exactly,
-    except ``"scgoma"`` with k_max > 15 where a single fit takes the
-    randomized SVD path (see ``estimation._sweep_fitter``).  ``select`` scores
-    the memberships of each k and finishes no fit; item parameters and the
-    ``EstimationResult`` are computed only for the k passed to ``fit``.  Both
-    reuse each k's cached memberships, so the sweep's one vertex search and
-    each k's simplex weights run once whatever the order of calls.  At a k
-    far from the true class count a fit's ``n_clamped_rows`` is often
-    nonzero; that is data, not a fault.
+    integer >= 0.  It decomposes R once, and each fit equals the single-k
+    ``scgoma``/``rmsp`` fit exactly, except ``"scgoma"`` with k_max > 15
+    where a single fit takes the randomized SVD path (see
+    ``estimation._Sweep``).  ``select`` scores the memberships of each k and
+    finishes no fit; item parameters and the ``EstimationResult`` are
+    computed only for the k passed to ``fit``.  At a k far from the true
+    class count a fit's ``n_clamped_rows`` is often nonzero; that is data,
+    not a fault.
     """
-
-    def __init__(self, responses, estimator="scgoma", k_max: int = 15, *, seed: int = 0):
-        self.responses = response_array(responses)
-        self.k_max = k_max
-        memberships, finish = estimation._sweep_fitter(self.responses, estimator, k_max, seed=seed)
-        self._memberships = memberships = functools.cache(memberships)
-        self._fits = functools.cache(lambda k: finish(memberships(k)))
-
-    def fit(self, k: int) -> EstimationResult:
-        """The estimate at k; raises what the estimator raises, or
-        ``DimensionError`` unless k is an integer in [1, k_max]."""
-        if not (_is_count(k) and 1 <= k <= self.k_max):
-            raise DimensionError(f"k={k!r} outside [1, {self.k_max}], the sweep's k_max")
-        return self._fits(k)
 
     def select(self, k_max=None) -> tuple[int, list]:
         """Score the memberships of every k in 1..k_max (default: the sweep's)
@@ -143,8 +127,8 @@ class ClassCountSweep:
         fitted = {}
         for k in range(1, k_max + 1):
             try:
-                fitted[k] = self._memberships(k).pi
-            except (DegenerateRankError, RankDeficiencyError, DimensionError):
+                fitted[k] = self.memberships(k)[0]
+            except (DegenerateRankError, RankDeficiencyError):
                 continue
         if not fitted:
             raise WgomError(f"estimation failed for every k in 1..{k_max}")

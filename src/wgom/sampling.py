@@ -19,7 +19,7 @@ from typing import ClassVar, Union
 import numpy as np
 
 from .errors import ConfigError, DistributionRangeError, InfeasibleSchemeError
-from .types import ModelSpec, ResponseMatrix, SampleDiagnostics
+from .types import ModelSpec, ResponseMatrix, SampleDiagnostics, _check_seed
 
 PROB_TOL = 1e-12
 # Slack on closed admissible-range endpoints so float dust in Pi @ Theta.T
@@ -266,19 +266,22 @@ def expected_responses(spec: ModelSpec) -> np.ndarray:
 def sample_response(spec: ModelSpec, seed) -> tuple[ResponseMatrix, SampleDiagnostics]:
     """Draw one response matrix from ``spec``.
 
-    ``seed`` may be an int, a ``numpy.random.SeedSequence`` or a ``Generator``;
-    the draw order (responses first, then the retention mask) is fixed, so a
-    given seed always produces the same matrix.
+    ``seed`` may be an integer >= 0, a ``numpy.random.SeedSequence`` or a
+    ``Generator``; the draw order (responses first, then the retention mask)
+    is fixed, so a given seed always produces the same matrix.
 
     Raises
     ------
+    ConfigError
+        If ``seed`` is none of those (``None``, a bool, or a negative or
+        fractional number), or if a draw overflows to a non-finite entry
+        (means near the float limit, say from a huge ``rho``).
     DistributionRangeError
         If any expected response falls outside the distribution's admissible
         mean range (the first offending entry is named).
-    ConfigError
-        If a draw overflows to a non-finite entry (means near the float
-        limit, say from a huge ``rho``).
     """
+    if not isinstance(seed, (np.random.Generator, np.random.SeedSequence)):
+        _check_seed(seed)
     rng = np.random.default_rng(seed)
     r0 = expected_responses(spec)
 

@@ -2,18 +2,35 @@
 
 Everything here is deliberately naive (enumeration, double loops, full
 decompositions) and built from numpy primitives only, so it cannot share a
-failure mode with the library paths it checks.  The exception is
+failure mode with the library paths it checks.  The exceptions are
 ``select_by_single_fits``, which checks the class-count sweep against the
-library's own single fits.
+library's own single fits, and ``leading``, which reads the library's
+decompositions the way its estimators do.
 """
 
 import itertools
+from collections import namedtuple
 
 import numpy as np
 
 from wgom import DegenerateRankError, DimensionError, RankDeficiencyError, modularity, rmsp, scgoma
+from wgom.linalg import _check_spectrum, _fix_signs
 from wgom.types import response_array
 from wgom.vertex_hunting import _projection_searches
+
+
+TopK = namedtuple("TopK", "left singulars right")
+
+
+def leading(u, s, vt, k) -> TopK:
+    """The first k triplets of a decomposition such as ``linalg._decompose``
+    returns, as sign-fixed copies: left (N x k), singulars (k), right (J x k).
+    Raises ``DegenerateRankError`` where the estimators' spectrum check at k
+    fails."""
+    _check_spectrum(s, k)
+    u, vt = u[:, :k].copy(), vt[:k].copy()
+    _fix_signs(u, vt)
+    return TopK(u, s[:k].copy(), vt.T.copy())
 
 
 def brute_hamming(pi_hat, pi_true) -> float:

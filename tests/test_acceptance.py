@@ -38,7 +38,7 @@ from wgom import (
 )
 from wgom.experiments import replicate_rng
 
-from helpers import brute_hamming, brute_relative, modularity_double_sum, random_row_stochastic
+from helpers import brute_hamming, brute_relative, leading, modularity_double_sum, random_row_stochastic
 
 REPLICATES = 20
 
@@ -263,13 +263,13 @@ def test_criterion_10_randomized_svd_matches_dense_oracle():
         spectrum = 0.65 ** np.arange(60)
         a = (left * spectrum) @ right.T
         exact = np.linalg.svd(a, compute_uv=False)[:10]
-        randomized = linalg._leading(*linalg._randomized_svd(a, 10, seed=trial), 10)
+        randomized = leading(*linalg._randomized_svd(a, 10, seed=trial), 10)
         worst = max(worst, (np.abs(randomized.singulars - exact) / exact).max())
 
     left, _ = np.linalg.qr(rng.standard_normal((1000, 10)))
     right, _ = np.linalg.qr(rng.standard_normal((500, 10)))
     a = (left * (2.0 ** -np.arange(10))) @ right.T
-    svd = linalg._leading(*linalg._randomized_svd(a, 10, seed=99), 10)
+    svd = leading(*linalg._randomized_svd(a, 10, seed=99), 10)
     recon = np.linalg.norm(a - (svd.left * svd.singulars) @ svd.right.T, 2) / svd.singulars[0]
     report(
         10,

@@ -23,10 +23,10 @@ from wgom import (
     simulation_spec,
 )
 from wgom.errors import ConfigError
-from wgom.estimation import _normalize_clamped, _sweep_fitter
-from wgom.linalg import _decompose, _leading
+from wgom.estimation import _normalize_clamped
+from wgom.linalg import _decompose
 
-from helpers import block_pi, brute_hamming
+from helpers import block_pi, brute_hamming, leading
 
 
 def small_noiseless(seed=0, n=60, j=30, k=3):
@@ -183,7 +183,7 @@ def test_over_specified_k_reports_its_clamped_rows():
     rng = np.random.default_rng(1)
     spec = simulation_spec(Normal(sigma2=1.0), n=60, rho=1.0, rng=rng)
     r = sample_response(spec, rng)[0].values
-    for method, result, x in (("scgoma", scgoma(r, 4), _leading(*_decompose(r, 4), 4).left), ("rmsp", rmsp(r, 4), r)):
+    for method, result, x in (("scgoma", scgoma(r, 4), leading(*_decompose(r, 4), 4).left), ("rmsp", rmsp(r, 4), r)):
         corners = x[result.pure_index_set]
         z = np.maximum(0.0, x @ corners.T @ np.linalg.inv(corners @ corners.T))
         dead = z.sum(axis=1) <= 0.0
@@ -202,17 +202,14 @@ def test_class_counts_above_64():
     assert [k for k, _ in curve][-1] == 70
 
 
-@pytest.mark.parametrize("k", [16, 20])
+@pytest.mark.parametrize("k", [1, 3, 15, 16, 20])
 def test_single_fit_equals_sweep_fit_above_15_classes(k):
-    # Min side 120: k = 16 and 20 sketch 26 and 30 columns on the randomized path.
+    # Min side 120, the randomized path.  For k <= 15 the fit of README's
+    # quick start, a k_max = 15 sweep's, and the single fit both sketch 25
+    # columns; k = 16 and 20 sketch 26 and 30 in a sweep with k_max = k.
     r = np.random.default_rng(3).random((200, 120))
     for method, single in (("scgoma", scgoma(r, k, seed=5)), ("rmsp", rmsp(r, k))):
-        swept = ClassCountSweep(r, method, k, seed=5).fit(k)
-        assert np.array_equal(single.membership_hat.rows, swept.membership_hat.rows)
-        assert np.array_equal(single.item_params_hat, swept.item_params_hat)
-        assert single.pure_index_set == swept.pure_index_set
-        assert np.array_equal(single.singular_values, swept.singular_values)
-        assert single.n_clamped_rows == swept.n_clamped_rows
+        assert_same_fit(single, ClassCountSweep(r, method, max(k, 15), seed=5).fit(k))
 
 
 def test_error_conditions():
@@ -232,8 +229,6 @@ def test_non_integer_class_count_is_a_dimension_error(k):
     r = np.random.default_rng(0).random((20, 10))
     r0 = np.random.default_rng(1).random((20, 2)) @ np.random.default_rng(2).random((2, 10))
     for method in ("scgoma", "rmsp"):
-        with pytest.raises(DimensionError):
-            _sweep_fitter(r, method, k)
         with pytest.raises(DimensionError):
             ClassCountSweep(r, method, k)
         sweep = ClassCountSweep(r, method, 4)
@@ -270,7 +265,7 @@ def test_unknown_estimator_name_is_a_config_error():
     r = np.random.default_rng(4).random((30, 20))
     assert issubclass(ConfigError, ValueError) and issubclass(DimensionError, ValueError)
     with pytest.raises(ConfigError, match="unknown estimator 'bogus'"):
-        _sweep_fitter(r, "bogus", 3)
+        ClassCountSweep(r, "bogus", 3)
     for estimator in ("bogus", lambda responses, k: scgoma(responses, k)):
         with pytest.raises(ConfigError):
             ClassCountSweep(r, estimator)

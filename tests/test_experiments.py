@@ -81,6 +81,29 @@ def test_random_item_params_modes():
         random_item_params(30, 3, 1.0, rng, mean_range=(2.0, 1.0))
 
 
+def test_geometry_sizes_read_whole_numbers_through_config_value():
+    rng = np.random.default_rng(1)
+    assert np.array_equal(block_memberships(60.0, 3, 10).rows, block_memberships(60, 3, 10).rows)
+    assert random_item_params(np.int64(20), 3.0, 1.0, np.random.default_rng(5)).values.shape == (20, 3)
+    spec = simulation_spec(Binomial(m=5), n=80.0, j=np.int32(30), n_pure=np.int64(20), rng=np.random.default_rng(2))
+    assert (spec.n_subjects, spec.n_items) == (80, 30)
+    for call, message in (
+        (lambda: random_item_params(20, True, 1.0, rng), "k must be"),
+        (lambda: random_item_params(20.5, 3, 1.0, rng), "j must be"),
+        (lambda: random_item_params(-3, 3, 1.0, rng), "j must be"),
+        (lambda: block_memberships(-5, 3, 0), "n must be"),
+        (lambda: block_memberships(True, 1, 0), "n must be"),
+        (lambda: simulation_spec(Binomial(m=5), n="60", rng=rng), "n must be"),
+        (lambda: simulation_spec(Binomial(m=5), n=60, j=0, rng=rng), "j must be"),
+        (lambda: simulation_spec(Binomial(m=5), n=60, n_pure=2.5, rng=rng), "n_pure_per_class must be"),
+        # Too many floats for numpy to allocate, or to address.
+        (lambda: block_memberships(10**18, 1, 0), "cannot allocate"),
+        (lambda: random_item_params(10**30, 3, 1.0, rng), "cannot allocate"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            call()
+
+
 def test_simulation_spec_defaults_are_valid_models():
     rng = np.random.default_rng(2)
     spec = simulation_spec(Binomial(m=5), n=80, rho=3.0, rng=rng)

@@ -3,13 +3,13 @@ import pytest
 import scipy.linalg
 
 from wgom import DegenerateRankError, DimensionError, scgoma
-from wgom.linalg import PINV_FALLBACK_RTOL, _decompose, _leading, _randomized_svd, solve_small_inverse
+from wgom.linalg import PINV_FALLBACK_RTOL, _decompose, _randomized_svd, solve_small_inverse
 
-from helpers import block_pi
+from helpers import block_pi, leading
 
 
 def top_k(a, k, seed=0):
-    return _leading(*_decompose(a, k, seed=seed), k)
+    return leading(*_decompose(a, k, seed=seed), k)
 
 
 def reconstruct(svd):
@@ -17,11 +17,11 @@ def reconstruct(svd):
 
 
 def dense(a, k):
-    return _leading(*np.linalg.svd(a, full_matrices=False), k)
+    return leading(*np.linalg.svd(a, full_matrices=False), k)
 
 
 def randomized(a, k, seed):
-    return _leading(*_randomized_svd(a, k, seed=seed), k)
+    return leading(*_randomized_svd(a, k, seed=seed), k)
 
 
 def test_diagonal_matrix_singular_values():

@@ -194,7 +194,7 @@ def _binomial_responses(n):
 
 def test_sweep_fit_then_select_fits_each_k_once(monkeypatch):
     decompositions, fits = [], []
-    for modules, name, calls in (((linalg, estimation), "_decompose", decompositions), ((estimation,), "_scgoma_fit", fits)):
+    for modules, name, calls in (((linalg, estimation), "_decompose", decompositions), ((estimation,), "_simplex_memberships", fits)):
         for module in modules:
 
             def wrapper(*args, _original=getattr(module, name), _calls=calls, **kwargs):
@@ -243,9 +243,9 @@ def test_sweep_select_over_a_prefix_equals_select_k(method):
 
 
 def test_sweep_select_validates_k_max():
-    sweep = ClassCountSweep(_binomial_responses(120), "rmsp", 15)
-    for k_max in (0, 16):
-        with pytest.raises(DimensionError):
-            sweep.select(k_max)
-        with pytest.raises(DimensionError):
-            sweep.fit(k_max)
+    for method in ("scgoma", "rmsp"):
+        sweep = ClassCountSweep(_binomial_responses(120), method, 15)
+        for k_max in (0, 16):
+            for call in (sweep.select, sweep.fit, sweep.memberships):
+                with pytest.raises(DimensionError):
+                    call(k_max)

@@ -25,11 +25,13 @@ from wgom import (
     ClassCountSweep,
     WgomError,
     accuracy_rate,
+    block_memberships,
     fuzzy_weighted_modularity,
     hamming_error,
     ideal_rmsp,
     ideal_scgoma,
     profile_memberships,
+    random_item_params,
     relative_error,
     rmsp,
     sample_response,
@@ -422,6 +424,13 @@ def test_python_api_returns_or_raises_wgom_error(r, k, k_other, seed, method, k_
         prefix, full = outcome(select), outcome(swept.select)
         return outcome(fit), prefix, full
 
+    def simulated():
+        # The fuzzed scalars as sizes n, k and j of a simulation geometry.
+        spec = simulation_spec(Binomial(m=5), n=k_other, k=k, j=seed, rng=np.random.default_rng(0))
+        return spec.membership.rows, spec.item_params.values
+
+    # A small valid spec, for the seed of sample_response.
+    spec = simulation_spec(Binomial(m=5), n=12, k=2, rng=np.random.default_rng(1))
     calls = [
         lambda: scgoma(r, k, seed=seed),
         lambda: rmsp(r, k),
@@ -430,6 +439,10 @@ def test_python_api_returns_or_raises_wgom_error(r, k, k_other, seed, method, k_
         lambda: sweep(first_fit=True),
         lambda: select_k(r, method, k, seed=seed),
         lambda: accuracy_rate(k_hats, k),
+        lambda: random_item_params(k_other, k, 1.0, np.random.default_rng(2)).values,
+        lambda: block_memberships(k_other, k, seed).rows,
+        simulated,
+        lambda: sample_response(spec, seed)[0].values,
     ]
     for call in calls:
         assert bit_identical(outcome(call), outcome(call))

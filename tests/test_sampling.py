@@ -6,6 +6,7 @@ import pytest
 from wgom import (
     Bernoulli,
     Binomial,
+    ConfigError,
     DistributionRangeError,
     Exponential,
     GeneralDiscrete,
@@ -264,6 +265,16 @@ def test_same_seed_reproduces_matrix():
     first, _ = sample_response(spec, 99)
     second, _ = sample_response(spec, 99)
     assert np.array_equal(first.values, second.values)
+
+
+def test_seed_is_an_integer_seed_sequence_or_generator():
+    spec = constant_mean_spec(0.4, Binomial(m=3), 20)
+    first, _ = sample_response(spec, np.int64(7))
+    for seed in (np.random.SeedSequence(7), np.random.default_rng(7)):
+        assert np.array_equal(sample_response(spec, seed)[0].values, first.values)
+    for seed in (-1, 1.5, 7.0, True, None, "7"):
+        with pytest.raises(ConfigError, match="seed must be"):
+            sample_response(spec, seed)
 
 
 def test_draws_are_new_arrays():
