@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,14 +33,13 @@ from .errors import (
 )
 from .estimation import METHODS
 from .experiments import (
-    block_memberships,
     check_addressable,
     config_value,
-    default_item_params,
     distribution_from_config,
     normalize_family,
     parse_config,
     run_experiment,
+    simulation_spec,
     unallocatable,
 )
 from .metrics import data_sparsity, profile_memberships
@@ -95,14 +95,26 @@ def _load_pruned_matrix(args) -> np.ndarray:
     return values
 
 
+# The generate keys each file key replaces: a config gives one or the other.
+_FILE_REPLACES = {"membership_file": ("n_pure_per_class", "mixed_membership"), "item_params_file": ("rho", "mean_range")}
+# simulation_spec's argument for each generate key it takes; a key the config omits takes its default.
+_SPEC_ARGS = {
+    "j": "j", "k": "k", "n_pure_per_class": "n_pure", "mixed_membership": "mixed",
+    "rho": "rho", "sparsity": "sparsity", "mean_range": "mean_range",
+}
+
+
 def _spec_from_config(config: dict) -> tuple[ModelSpec, int]:
     config = parse_config(config, "generate")
+    for file_key, replaced in _FILE_REPLACES.items():
+        clash = [key for key in replaced if file_key in config and key in config]
+        if clash:
+            raise ConfigError(f"generate config gives {clash[0]!r} beside {file_key!r}, which replaces it")
     distribution = distribution_from_config(config["distribution"])
     seed, n, j, k = config.get("seed", 0), config["n"], config["j"], config["k"]
     check_addressable(n, j, k)
-    rng = np.random.default_rng(seed)
-    mixed = config.get("mixed_membership", "uniform")
-
+    args = {arg: config[key] for key, arg in _SPEC_ARGS.items() if key in config}
+    spec = simulation_spec(distribution, n=n, rng=np.random.default_rng(seed), **args)
     if "membership_file" in config:
         membership = MembershipMatrix(matrix_io.read_matrix(config["membership_file"]))
         if membership.n_subjects != n or membership.n_classes != k:
@@ -110,9 +122,7 @@ def _spec_from_config(config: dict) -> tuple[ModelSpec, int]:
                 f"membership file is {membership.n_subjects}x{membership.n_classes}, "
                 f"config says {n}x{k}"
             )
-    else:
-        membership = block_memberships(n, k, config.get("n_pure_per_class", n // 4), mixed=mixed, rng=rng)
-
+        spec = replace(spec, membership=membership)
     if "item_params_file" in config:
         item_params = ItemParams(matrix_io.read_matrix(config["item_params_file"]))
         if item_params.n_items != j or item_params.n_classes != k:
@@ -120,22 +130,7 @@ def _spec_from_config(config: dict) -> tuple[ModelSpec, int]:
                 f"item parameter file is {item_params.n_items}x{item_params.n_classes}, "
                 f"config says {j}x{k}"
             )
-    else:
-        item_params = default_item_params(
-            distribution,
-            j,
-            k,
-            config.get("rho", 1.0),
-            rng,
-            config.get("mean_range"),
-        )
-
-    spec = ModelSpec(
-        membership=membership,
-        item_params=item_params,
-        distribution=distribution,
-        sparsity=config.get("sparsity", 1.0),
-    )
+        spec = replace(spec, item_params=item_params)
     return spec, seed
 
 

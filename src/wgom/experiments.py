@@ -1,9 +1,10 @@
 """Simulation geometry builders and the replicate experiment harness.
 
 Default geometry (used when parameters are omitted): three latent classes,
-J = N/2 items, N/4 pure subjects per class, and every mixed subject at the
-uniform membership (1/3, 1/3, 1/3).  The class-count sweep geometry instead
-scales with k: N = 100k, J = 50k, 80 pure subjects per class.
+J = N // 2 items, min(N // 4, N // K) pure subjects per class (N // 4 for
+K <= 4), and every mixed subject at the uniform membership (1/K, ..., 1/K).
+The class-count sweep geometry instead scales with k: N = 100k, J = 50k,
+80 pure subjects per class.
 
 Replicate r of an experiment seeded with s draws from the generator
 ``default_rng(SeedSequence([s, r]))``; streams are independent across
@@ -112,13 +113,18 @@ def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(replicate)]))
 
 
+def _size(count: int) -> str:
+    """A size for an error message: in full up to 10**12, else in %.3g form."""
+    return str(count) if count <= 10**12 else f"{count:.3g}"
+
+
 def _allocate(make, rows: int, cols: int, name: str) -> np.ndarray:
     """``make((rows, cols))``, or ``ConfigError`` where numpy cannot allocate
     that many floats."""
     try:
         return make((rows, cols))
     except (MemoryError, ValueError) as exc:
-        raise ConfigError(f"cannot allocate the {rows} x {cols} {name}") from exc
+        raise ConfigError(f"cannot allocate the {_size(rows)} x {_size(cols)} {name}") from exc
 
 
 def block_memberships(n: int, k: int, n_pure_per_class: int, mixed="uniform", rng=None) -> MembershipMatrix:
@@ -164,7 +170,7 @@ def unallocatable(n: int, j: int, k: int) -> ConfigError:
     """The config error for a model that cannot be allocated, naming its
     largest float array: N x J, N x K or J x K (the first on a tie)."""
     name, rows, cols = max(("N x J", n, j), ("N x K", n, k), ("J x K", j, k), key=lambda a: a[1] * a[2])
-    return ConfigError(f"cannot allocate the {rows} x {cols} ({name}) array of the model the config declares")
+    return ConfigError(f"cannot allocate the {_size(rows)} x {_size(cols)} ({name}) array of the model the config declares")
 
 
 def check_addressable(n: int, j: int, k: int) -> None:
@@ -199,16 +205,6 @@ def random_item_params(
     return ItemParams(rho * _allocate(draw, n_items, k, "item parameter matrix"))
 
 
-def default_item_params(distribution, n_items: int, k: int, rho: float, rng, mean_range=None) -> ItemParams:
-    """Item parameters under the default policy: finite-support distributions
-    without a ``mean_range`` fill their admissible mean interval, and
-    distributions that admit negative means draw from U(-1, 1)."""
-    if mean_range is None and isinstance(distribution, GeneralDiscrete):
-        mean_range = distribution.mean_interval()[:2]
-    signed = mean_range is None and distribution.mean_interval()[0] < 0
-    return random_item_params(n_items, k, rho, rng, signed=signed, mean_range=mean_range)
-
-
 def simulation_spec(
     distribution,
     *,
@@ -222,21 +218,23 @@ def simulation_spec(
     sparsity: float = 1.0,
     mean_range: Optional[tuple] = None,
 ) -> ModelSpec:
-    """Model spec with the default simulation geometry and item-parameter
-    policy (see ``default_item_params``)."""
-    n = config_value("n", n)
+    """Model spec with the default simulation geometry (see the module
+    docstring) and item-parameter policy: entries uniform inside
+    ``mean_range``, or else inside a ``GeneralDiscrete``'s admissible mean
+    interval, or else rho * U(-1, 1) where the distribution admits
+    negative means and rho * U(0, 1) otherwise.  The membership is drawn
+    from ``rng`` before the item parameters."""
+    n, k = config_value("n", n), config_value("k", k)
+    if j is None and n < 2:
+        raise ConfigError(f"n must be at least 2 for the default j = n // 2 items, got n={n}")
     j = n // 2 if j is None else j
-    n_pure = n // 4 if n_pure is None else n_pure
+    n_pure = min(n // 4, n // k) if n_pure is None else n_pure
     membership = block_memberships(n, k, n_pure, mixed=mixed, rng=rng)
-    item_params = default_item_params(
-        distribution, j, k, rho if rho is not None else 1.0, rng, mean_range
-    )
-    return ModelSpec(
-        membership=membership,
-        item_params=item_params,
-        distribution=distribution,
-        sparsity=sparsity,
-    )
+    if mean_range is None and isinstance(distribution, GeneralDiscrete):
+        mean_range = distribution.mean_interval()[:2]
+    signed = mean_range is None and distribution.mean_interval()[0] < 0
+    item_params = random_item_params(j, k, 1.0 if rho is None else rho, rng, signed=signed, mean_range=mean_range)
+    return ModelSpec(membership=membership, item_params=item_params, distribution=distribution, sparsity=sparsity)
 
 
 def _class_count_geometry(k: int) -> dict:
@@ -317,8 +315,8 @@ def run_experiment(
     Every numeric argument and grid value passes ``config_value`` (``ConfigError``),
     and every grid point ``check_addressable``, before any replicate runs; the
     ``"k"`` family samples at ``_class_count_geometry``.
-    A config fault found inside a replicate (a ``ConfigError`` such as too many
-    pure subjects for n, a model too large to allocate or draws that overflow, or the
+    A config fault found inside a replicate (a ``ConfigError`` such as a model
+    too large to allocate or draws that overflow, or the
     ``InfeasibleSchemeError`` of a discrete scheme that admits no mean) is
     raised and ends the sweep.  Only data-dependent failures
     (``DistributionRangeError``, ``DimensionError``, ``RankDeficiencyError``

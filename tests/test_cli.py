@@ -83,6 +83,70 @@ def test_generate_bytes_are_pinned(tmp_path, config, digest):
     assert hashlib.sha256((tmp_path / "data" / "responses.csv").read_bytes()).hexdigest() == digest
 
 
+# responses.csv digests with a membership file, an item parameter file and
+# both.  A file replaces one draw of the model and leaves the others in place.
+FILE_MEMBERSHIP = np.vstack([np.eye(3), np.full((57, 3), 1 / 3)])
+FILE_ITEM_PARAMS = np.linspace(0.1, 1.9, 90).reshape(30, 3) ** 2
+PINNED_FILE_RESPONSES = [
+    (("membership",), "6728a151734ea201fdc165fe3192c9e333fd2f08d1a38db8b22ef7edaf1f3b4f"),
+    (("item_params",), "aeb790450f4085adc4de26fc9a108fac00dc55fe40fab0fa7f06a278b119b4d4"),
+    (("membership", "item_params"), "2bd4d713e2c9502325fc539d93349cbac077cc7cdadb0f8ca08a98703def1ddb"),
+]
+
+
+def write_model_files(folder):
+    folder.mkdir()
+    write_dense_csv(folder / "membership.csv", FILE_MEMBERSHIP)
+    write_dense_csv(folder / "item_params.csv", FILE_ITEM_PARAMS)
+    return {"n": 60, "j": 30, "k": 3, "distribution": {"name": "binomial", "m": 4}, "sparsity": 0.8, "seed": 5}
+
+
+@pytest.mark.parametrize("files,digest", PINNED_FILE_RESPONSES, ids=["membership", "item-params", "both"])
+def test_generate_from_files_is_pinned(tmp_path, files, digest):
+    config = write_model_files(tmp_path / "in")
+    config.update((f"{name}_file", str(tmp_path / "in" / f"{name}.csv")) for name in files)
+    (tmp_path / "model.json").write_text(json.dumps(config))
+    assert main(["generate", str(tmp_path / "model.json"), "--out", str(tmp_path / "data")]) == 0
+    assert hashlib.sha256((tmp_path / "data" / "responses.csv").read_bytes()).hexdigest() == digest
+    for name in files:
+        assert (tmp_path / "data" / f"{name}.csv").read_bytes() == (tmp_path / "in" / f"{name}.csv").read_bytes()
+
+
+def test_generate_refuses_a_key_beside_the_file_that_replaces_it(tmp_path, capsys):
+    config = write_model_files(tmp_path / "in")
+    for file_key, key, value in (
+        ("membership_file", "n_pure_per_class", 100),  # 3 x 100 pure subjects exceed n = 60
+        ("membership_file", "mixed_membership", "zzz"),
+        ("item_params_file", "rho", 0.5),
+        ("item_params_file", "mean_range", [0.5, 2.0]),
+    ):
+        file = str(tmp_path / "in" / f"{file_key.removesuffix('_file')}.csv")
+        (tmp_path / "model.json").write_text(json.dumps({**config, file_key: file, key: value}))
+        capsys.readouterr()
+        assert main(["generate", str(tmp_path / "model.json"), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err and f"'{file_key}'" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_generate_default_geometry_runs_for_five_classes(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"n": 60, "j": 30, "k": 5, "distribution": {"name": "bernoulli"}, "seed": 2}))
+    assert main(["generate", str(path), "--out", str(tmp_path / "data")]) == 0
+    pi = read_dense_csv(tmp_path / "data" / "membership.csv")
+    # min(n // 4, n // k) = 12 pure subjects per class, and no mixed subject.
+    assert (pi == np.repeat(np.eye(5), 12, axis=0)).all()
+
+
+def test_generate_prints_huge_sizes_briefly(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"n": 1e300, "j": 30, "k": 5, "distribution": {"name": "bernoulli"}}))
+    capsys.readouterr()
+    assert main(["generate", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "1e+300 x 30" in err and len(err) < 100
+
+
 # sha256 of each fit output for the configs above, in their order: estimate
 # --k 3's membership_hat.csv and item_params_hat.csv, and select-k's JSON, per
 # method.  A refactor of the estimators must leave these bytes unchanged.
@@ -422,7 +486,6 @@ def test_exit_code_config_error(tmp_path, capsys):
     )
     for extra in (
         {"sparsity": 1.5},
-        {"item_params_file": str(zero_items)},
         {"n": "abc"},
         {"k": 0},
         {"j": -1},
@@ -452,6 +515,11 @@ def test_exit_code_config_error(tmp_path, capsys):
         path = tmp_path / "extra.json"
         path.write_text(json.dumps({**base, **extra}))
         assert main(["generate", str(path), "--out", str(tmp_path / "o")]) == 2
+    # An all-zero item parameter file, with no key that the file replaces.
+    path.write_text(json.dumps({**{key: base[key] for key in ("n", "j", "k", "distribution")}, "item_params_file": str(zero_items)}))
+    capsys.readouterr()
+    assert main(["generate", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "item parameter scale must be positive" in capsys.readouterr().err
     # A huge finite rho overflows the item parameters' singular values.
     path.write_text(json.dumps({**base, "distribution": {"name": "normal"}, "rho": 1e308}))
     capsys.readouterr()
@@ -485,7 +553,6 @@ def test_exit_code_config_error(tmp_path, capsys):
         # Faults found inside a replicate end the run instead of a NaN row.
         {"sparsity": 2},
         {"family": "n", "values": [40], "rho": -1},
-        {"k": 5},  # 5 classes x n/4 pure subjects exceed n
         {"n": 1e12},  # the model cannot be allocated
         {"distribution": {"name": "discrete", "support": [0, 1, 2], "scheme": 1}},  # no mean
         *({"distribution": dist} for dist in bad_distributions),

@@ -96,6 +96,8 @@ def test_geometry_sizes_read_whole_numbers_through_config_value():
         (lambda: simulation_spec(Binomial(m=5), n="60", rng=rng), "n must be"),
         (lambda: simulation_spec(Binomial(m=5), n=60, j=0, rng=rng), "j must be"),
         (lambda: simulation_spec(Binomial(m=5), n=60, n_pure=2.5, rng=rng), "n_pure_per_class must be"),
+        # n = 1 leaves the default J = n // 2 at zero items.
+        (lambda: simulation_spec(Binomial(m=5), n=1, rng=rng), r"n must be at least 2 for the default j = n // 2"),
         # Too many floats for numpy to allocate, or to address.
         (lambda: block_memberships(10**18, 1, 0), "cannot allocate"),
         (lambda: random_item_params(10**30, 3, 1.0, rng), "cannot allocate"),
@@ -110,6 +112,26 @@ def test_simulation_spec_defaults_are_valid_models():
     assert spec.n_subjects == 80 and spec.n_items == 40 and spec.n_classes == 3
     assert (spec.membership.rows[:20, 0] == 1.0).all()  # n/4 pure per class
     assert validate_model_spec(spec) == []
+
+
+def test_default_pure_subjects_fit_every_class_count():
+    rng = np.random.default_rng(2)
+    assert simulation_spec(Binomial(m=5), n=1, j=1, rng=rng).n_items == 1
+    for k, n_pure in ((1, 25), (4, 25), (5, 20), (7, 14), (100, 1), (101, 0)):
+        pi = simulation_spec(Bernoulli(), n=100, k=k, rho=0.5, rng=rng).membership.rows
+        assert (pi[: k * n_pure] == np.repeat(np.eye(k), n_pure, axis=0)).all()
+        assert np.allclose(pi[k * n_pure :], 1.0 / k)
+    # A k = 5 rho sweep at the default geometry runs: 20 pure subjects per class.
+    (row,) = run_experiment("rho", [1.0], Bernoulli(), k=5, n=100, replicates=1, seed=0, k_max=6)
+    assert row.error is None and np.isfinite([row.mean_hamming_error, row.mean_relative_error]).all()
+
+
+def test_allocation_errors_print_huge_sizes_briefly():
+    for call in (lambda: block_memberships(int(1e300), 1, 0), lambda: experiments.check_addressable(int(1e300), 2, 1)):
+        with pytest.raises(ConfigError, match=r"1e\+300 x") as caught:
+            call()
+        assert len(str(caught.value)) < 80
+    assert "10 x 1000000000000 " in str(experiments.unallocatable(10, 10**12, 3))
 
 
 def test_simulation_spec_targets_discrete_interval():
