@@ -15,7 +15,6 @@ points so parameter comparisons are paired.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
@@ -29,7 +28,7 @@ from .estimation import METHODS
 from .metrics import accuracy_rate, hamming_error, relative_error
 from .modularity import ClassCountSweep
 from .sampling import DISTRIBUTIONS, GeneralDiscrete, sample_response
-from .types import ItemParams, MembershipMatrix, ModelSpec
+from .types import ItemParams, MembershipMatrix, ModelSpec, _number
 
 # Every top-level key of a ``generate`` or ``experiment`` config, and ``threads``, which no config takes: the
 # subcommands that accept and require it, and its kind (None: checked where it is used): a whole number (int)
@@ -60,36 +59,22 @@ CONFIG_KEYS = {
 FAMILY_KEYS = {"rho": "rho", "n": "n", "k": "k", "p": "sparsity"}
 
 
-def _real(value) -> float:
-    """A Python or numpy real as a float; NaN for a bool, str, None or an int beyond float range."""
-    try:
-        return float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
-    except OverflowError:
-        return math.nan
-
-
 def config_value(key: str, value):
     """``value`` as the kind ``CONFIG_KEYS`` gives ``key``, else ``ConfigError`` naming
-    key, rule and value.  Python and numpy numbers pass as numbers; a bool, str or None,
-    a non-finite number, an int beyond float range or a fraction for an int key do not."""
+    key, rule and value; a number follows the number rule, ``types._number``."""
     _, _, kind, least, most = CONFIG_KEYS[key]
+    if kind in (int, float):
+        return _number(key, value, whole=kind is int, least=least, most=most)
     if kind in (str, list):
         if isinstance(value, kind) and value:
             return value
         rule = f"a non-empty {kind.__name__}"
-    elif kind is tuple:
-        pair = tuple(_real(bound) for bound in value) if isinstance(value, (list, tuple)) else ()
-        if len(pair) == 2 and all(map(math.isfinite, pair)) and pair[0] < pair[1]:
-            return pair
-        rule = "a pair of finite numbers lo < hi"
     else:
-        number = _real(value)
-        if kind is int and number.is_integer() and number >= least:
-            return int(value)
-        if kind is float and math.isfinite(number) and least < number <= most:
-            return number
-        bound = f" and <= {most}" if most < math.inf else ""
-        rule = f"a whole number >= {least}" if kind is int else f"a finite number > {least}{bound}"
+        if isinstance(value, (list, tuple)) and len(value) == 2:
+            lo, hi = (_number(f"{key} bound", bound) for bound in value)
+            if lo < hi:
+                return lo, hi
+        rule = "a pair of finite numbers lo < hi"
     raise ConfigError(f"{key} must be {rule}, got {value!r}")
 
 
@@ -205,6 +190,13 @@ def random_item_params(
     return ItemParams(rho * _allocate(draw, n_items, k, "item parameter matrix"))
 
 
+def _default_j(n: int) -> int:
+    """The default item count J = n // 2, or ``ConfigError`` naming ``n`` if that is 0."""
+    if n < 2:
+        raise ConfigError(f"n must be at least 2 for the default j = n // 2 items, got n={n}")
+    return n // 2
+
+
 def simulation_spec(
     distribution,
     *,
@@ -225,9 +217,7 @@ def simulation_spec(
     negative means and rho * U(0, 1) otherwise.  The membership is drawn
     from ``rng`` before the item parameters."""
     n, k = config_value("n", n), config_value("k", k)
-    if j is None and n < 2:
-        raise ConfigError(f"n must be at least 2 for the default j = n // 2 items, got n={n}")
-    j = n // 2 if j is None else j
+    j = _default_j(n) if j is None else j
     n_pure = min(n // 4, n // k) if n_pure is None else n_pure
     membership = block_memberships(n, k, n_pure, mixed=mixed, rng=rng)
     if mean_range is None and isinstance(distribution, GeneralDiscrete):
@@ -253,7 +243,7 @@ def distribution_from_config(config: dict):
         raise ConfigError(f"unknown distribution name {name!r}; pick one of {tuple(DISTRIBUTIONS)}")
     try:
         return DISTRIBUTIONS[name](**fields)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except TypeError as exc:  # an unknown or missing key; the constructor checks the values
         raise ConfigError(f"bad distribution config {config!r}: {exc}") from exc
 
 
@@ -336,7 +326,8 @@ def run_experiment(
     if family == "k":
         points = [(value, {**params, **_class_count_geometry(params["k"])}) for value, params in points]
     for _, params in points:
-        check_addressable(params["n"], params.get("j", params["n"] // 2), params["k"])
+        params.setdefault("j", _default_j(params["n"]))
+        check_addressable(params["n"], params["j"], params["k"])
     rows = []
     for value, params in points:
 
@@ -363,7 +354,7 @@ def run_experiment(
         except (ConfigError, InfeasibleSchemeError):
             raise
         except MemoryError as exc:
-            raise unallocatable(params["n"], params.get("j", params["n"] // 2), params["k"]) from exc
+            raise unallocatable(params["n"], params["j"], params["k"]) from exc
         except WgomError as exc:
             rows.append(
                 GridRow(

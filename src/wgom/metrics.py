@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, DimensionError
-from .types import _checked_matrix, membership_array, response_array
+from .types import _checked_matrix, _number, membership_array, response_array
 
 
 def _aligned_pair(estimate, truth) -> tuple[np.ndarray, np.ndarray]:
@@ -125,8 +125,11 @@ def profile_memberships(
     ``mixed_threshold`` (highly mixed).  ``omega_pure``: fraction whose
     largest weight is at least ``pure_threshold`` (highly pure).  ``eta``:
     smallest column sum over largest column sum, a class balance in (0, 1].
-    Raises ``ConfigError`` unless 0 <= mixed < pure <= 1, which nan fails.
+    Raises ``ConfigError`` unless both thresholds are numbers (the number
+    rule) with 0 <= mixed < pure <= 1.
     """
+    mixed_threshold = _number("mixed_threshold", mixed_threshold)
+    pure_threshold = _number("pure_threshold", pure_threshold)
     if not 0.0 <= mixed_threshold < pure_threshold <= 1.0:
         raise ConfigError(
             f"thresholds need 0 <= mixed < pure <= 1, got {mixed_threshold}, {pure_threshold}"

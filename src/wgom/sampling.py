@@ -4,6 +4,10 @@ A distribution is the model's one pluggable part: any family whose draws
 have expectation R0 = Pi @ Theta.T will do.  Each catalog class owns its
 ``draw``, its admissible mean interval (the data behind ``admissible`` and
 ``range_description``) and its config keys, which are its dataclass fields.
+Each constructor checks its fields by the number rule (``types._number``)
+and raises ``ConfigError``; ``GeneralDiscrete`` is the one check of a finite
+support and scheme, and ``discrete_mean_interval`` and ``construct_discrete``
+build one.
 
 Sampling follows the generative recipe: compute the expected matrix
 R0 = Pi @ Theta.T, draw every entry independently from the distribution with
@@ -19,24 +23,12 @@ from typing import ClassVar, Union
 import numpy as np
 
 from .errors import ConfigError, DistributionRangeError, InfeasibleSchemeError
-from .types import ModelSpec, ResponseMatrix, SampleDiagnostics, _check_seed
+from .types import ModelSpec, ResponseMatrix, SampleDiagnostics, _check_seed, _number
 
 PROB_TOL = 1e-12
 # Slack on closed admissible-range endpoints so float dust in Pi @ Theta.T
 # does not trip spurious range errors.
 RANGE_TOL = 1e-12
-
-
-def check_support(support) -> tuple:
-    """A finite support as a tuple of at least 2 finite, strictly increasing floats."""
-    support = tuple(float(a) for a in support)
-    if len(support) < 2:
-        raise ValueError("discrete support needs at least 2 points")
-    if not np.isfinite(support).all():
-        raise ValueError(f"discrete support points must be finite, got {support}")
-    if any(b <= a for a, b in zip(support, support[1:])):
-        raise ValueError("discrete support must be strictly increasing")
-    return support
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +101,7 @@ class Binomial(Distribution):
     name = "binomial"
 
     def __post_init__(self):
-        if int(self.m) != self.m or not 1 <= self.m <= np.iinfo(np.int64).max:
-            raise ValueError(f"binomial trial count must be a positive int64, got {self.m}")
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", _number("binomial m", self.m, whole=True, least=1, most=np.iinfo(np.int64).max))
 
     def mean_interval(self):
         return (0.0, self.m, False)
@@ -148,9 +138,7 @@ class Normal(Distribution):
     interval = (-np.inf, np.inf, False)
 
     def __post_init__(self):
-        if not 0 < self.sigma2 < np.inf:
-            raise ValueError(f"normal variance must be positive and finite, got {self.sigma2}")
-        object.__setattr__(self, "sigma2", float(self.sigma2))
+        object.__setattr__(self, "sigma2", _number("normal sigma2", self.sigma2, least=0))
 
     def draw(self, means, rng):
         return rng.normal(means, np.sqrt(self.sigma2))
@@ -200,13 +188,15 @@ class Exponential(Distribution):
 class GeneralDiscrete(Distribution):
     """Entries on a finite sorted support, probabilities chosen to hit the mean.
 
-    ``scheme`` selects one closure of the underdetermined moment system
-    (see ``construct_discrete``):
+    ``support`` holds at least 2 strictly increasing numbers, and ``scheme``
+    selects one closure of the underdetermined moment system (see the
+    finite-support construction below); the constructor checks both by the
+    number rule (``ConfigError``):
 
     * an integer q (0-based): the probability at support[q] is free and all
       other probabilities are equal (the scheme-q member of the canonical
       solution family);
-    * ``"binary"``: the unique two-point solution (Q == 2 only);
+    * ``"binary"``: the unique two-point solution (Q == 2 only), index 0;
     * ``"mean-locked"``: P(support[0]) is pinned to the mean itself
       (Q == 3 only).
     """
@@ -216,32 +206,76 @@ class GeneralDiscrete(Distribution):
     name = "discrete"
 
     def __post_init__(self):
-        support = check_support(self.support)
+        try:
+            points = tuple(self.support)
+        except TypeError:
+            points = ()
+        support = tuple(_number("discrete support point", a) for a in points)
+        if len(support) < 2 or any(b <= a for a, b in zip(support, support[1:])):
+            raise ConfigError(f"discrete support must be at least 2 strictly increasing numbers, got {self.support!r}")
         object.__setattr__(self, "support", support)
-        scheme = self.scheme
-        if isinstance(scheme, str):
-            if scheme == "binary":
-                if len(support) != 2:
-                    raise ValueError('scheme "binary" requires exactly 2 support points')
-            elif scheme == "mean-locked":
-                if len(support) != 3:
-                    raise ValueError('scheme "mean-locked" requires exactly 3 support points')
-            else:
-                raise ValueError(f"unknown discrete scheme {scheme!r}")
-        else:
-            if int(scheme) != scheme:
-                raise ValueError(f"scheme index must be a whole number, got {scheme}")
-            scheme = int(scheme)
-            if not 0 <= scheme < len(support):
-                raise ValueError(f"scheme index {scheme} outside [0, {len(support) - 1}]")
-        object.__setattr__(self, "scheme", scheme)
+        if not isinstance(self.scheme, str):
+            index = _number("discrete scheme index", self.scheme, whole=True, least=0, most=len(support) - 1)
+            object.__setattr__(self, "scheme", index)
+        elif {"binary": 2, "mean-locked": 3}.get(self.scheme) != len(support):
+            raise ConfigError(
+                f"discrete scheme must be an index, \"binary\" on 2 support points or "
+                f"\"mean-locked\" on 3, got {self.scheme!r} on {len(support)}"
+            )
+
+    @property
+    def _free_index(self) -> int:
+        """q of an index scheme, where ``"binary"`` is index 0."""
+        return 0 if self.scheme == "binary" else self.scheme
 
     def mean_interval(self):
-        return (*discrete_mean_interval(self.support, self.scheme), False)
+        """The admissible means (lo, hi, False); ``InfeasibleSchemeError`` when
+        the scheme admits none (an empty feasible set, or a degenerate free
+        index whose solution is not unique)."""
+        support = self.support
+        if self.scheme == "mean-locked":
+            alpha, beta = _mean_locked_coeffs(support)
+            lo, hi = 0.0, 1.0  # p0 = mean is itself a probability
+            # p2 = alpha * mean + beta and p1 = (-1 - alpha) * mean + (1 - beta)
+            # must both be probabilities as well.
+            for a, b in ((alpha, beta), (-1.0 - alpha, 1.0 - beta)):
+                left, right = _affine_unit_interval(a, b)
+                lo, hi = max(lo, left), min(hi, right)
+            if lo > hi:
+                raise InfeasibleSchemeError(f"mean-locked scheme is infeasible for support {support}")
+            return lo, hi, False
+        q, total = self._free_index, sum(support)
+        if total - len(support) * support[q] == 0.0:
+            raise InfeasibleSchemeError(
+                f"free index {q} is degenerate for support {support}: "
+                f"support[{q}] equals the support average"
+            )
+        others_avg = (total - support[q]) / (len(support) - 1)
+        return min(support[q], others_avg), max(support[q], others_avg), False
+
+    def _probabilities(self, means: np.ndarray) -> np.ndarray:
+        """Probability vectors with expectations ``means``, shape means.shape + (Q),
+        each summing to 1.0 exactly; entries leave [0, 1] outside ``mean_interval``."""
+        support = np.asarray(self.support)
+        means = np.asarray(means, dtype=float)
+        probs = np.empty(means.shape + (len(support),))
+        if self.scheme == "mean-locked":
+            alpha, beta = _mean_locked_coeffs(tuple(support))
+            probs[..., 0] = means
+            probs[..., 2] = alpha * means + beta
+            probs[..., 1] = 1.0 - probs[..., 0] - probs[..., 2]
+        else:
+            q = self._free_index
+            y = (means - support[q]) / (support.sum() - len(support) * support[q])
+            probs[...] = y[..., None]
+            probs[..., q] = 1.0 - (len(support) - 1) * y
+        # Exact unit sum: the trailing component is the closure of the rest.
+        probs[..., -1] = 1.0 - probs[..., :-1].sum(axis=-1)
+        return probs
 
     def draw(self, means, rng):
         support = np.asarray(self.support)
-        cum = _discrete_table(self.support, self.scheme, means)
+        cum = self._probabilities(means)
         np.cumsum(cum, axis=-1, out=cum)
         u = rng.random(means.shape)
         idx = (u[..., None] > cum).sum(axis=-1)
@@ -348,45 +382,13 @@ def _affine_unit_interval(alpha: float, beta: float) -> tuple:
 
 
 def discrete_mean_interval(support, scheme) -> tuple:
-    """Admissible mean interval [lo, hi] of a finite-support scheme.
+    """Admissible mean interval [lo, hi] of ``GeneralDiscrete(support, scheme)``.
 
-    Raises ``InfeasibleSchemeError`` when the scheme admits no mean at all
-    (empty feasible set, or a degenerate free index whose solution is not
-    unique).
+    Raises ``ConfigError`` for a bad support or scheme and
+    ``InfeasibleSchemeError`` when the scheme admits no mean at all (empty
+    feasible set, or a degenerate free index whose solution is not unique).
     """
-    support = check_support(support)
-    q_count = len(support)
-
-    if scheme == "binary":
-        scheme = 0
-    if scheme == "mean-locked":
-        if q_count != 3:
-            raise InfeasibleSchemeError('"mean-locked" needs exactly 3 support points')
-        alpha, beta = _mean_locked_coeffs(support)
-        lo, hi = 0.0, 1.0  # p0 = mean is itself a probability
-        # p2 = alpha * mean + beta and p1 = (-1 - alpha) * mean + (1 - beta)
-        # must both be probabilities as well.
-        for a, b in ((alpha, beta), (-1.0 - alpha, 1.0 - beta)):
-            left, right = _affine_unit_interval(a, b)
-            lo, hi = max(lo, left), min(hi, right)
-        if lo > hi:
-            raise InfeasibleSchemeError(
-                f"mean-locked scheme is infeasible for support {support}"
-            )
-        return lo, hi
-
-    q = int(scheme)
-    if not 0 <= q < q_count:
-        raise ValueError(f"scheme index {q} outside [0, {q_count - 1}]")
-    total = sum(support)
-    denom = total - q_count * support[q]
-    if denom == 0.0:
-        raise InfeasibleSchemeError(
-            f"free index {q} is degenerate for support {support}: "
-            f"support[{q}] equals the support average"
-        )
-    others_avg = (total - support[q]) / (q_count - 1)
-    return (min(support[q], others_avg), max(support[q], others_avg))
+    return GeneralDiscrete(support, scheme).mean_interval()[:2]
 
 
 def construct_discrete(support, scheme, mean: float) -> np.ndarray:
@@ -397,47 +399,25 @@ def construct_discrete(support, scheme, mean: float) -> np.ndarray:
 
     Raises
     ------
+    ConfigError
+        If ``support`` or ``scheme`` fails ``GeneralDiscrete``'s checks, or
+        ``mean`` is not a finite number.
     DistributionRangeError
         If ``mean`` lies outside the scheme's admissible interval.
     InfeasibleSchemeError
         If the scheme has no valid solution, or a solved probability escapes
         [0, 1] by more than 1e-12.
     """
-    support = check_support(support)
-    lo, hi = discrete_mean_interval(support, scheme)
-    mean = float(mean)
-    if not (lo - PROB_TOL <= mean <= hi + PROB_TOL):
+    dist = GeneralDiscrete(support, scheme)
+    mean = _number("mean", mean)
+    if not dist.admissible(mean):
         raise DistributionRangeError(
-            f"mean {mean:.6g} outside the admissible interval [{lo:g}, {hi:g}] "
-            f"of scheme {scheme!r} on support {support}"
+            f"mean {mean:.6g} outside the admissible interval {dist.range_description()} "
+            f"of scheme {scheme!r} on support {dist.support}"
         )
-    probs = _discrete_table(support, scheme, np.asarray(mean))
+    probs = dist._probabilities(mean)
     if (probs < -PROB_TOL).any() or (probs > 1.0 + PROB_TOL).any():
         raise InfeasibleSchemeError(
             f"scheme {scheme!r} yields probabilities outside [0, 1]: {probs}"
         )
-    return probs
-
-
-def _discrete_table(support, scheme, means: np.ndarray) -> np.ndarray:
-    """Vectorized probability vectors, shape means.shape + (Q,)."""
-    support = np.asarray(support, dtype=float)
-    q_count = len(support)
-    means = np.asarray(means, dtype=float)
-    probs = np.empty(means.shape + (q_count,))
-
-    if scheme == "mean-locked":
-        alpha, beta = _mean_locked_coeffs(tuple(support))
-        probs[..., 0] = means
-        probs[..., 2] = alpha * means + beta
-        probs[..., 1] = 1.0 - probs[..., 0] - probs[..., 2]
-    else:
-        q = 0 if scheme == "binary" else int(scheme)
-        total = support.sum()
-        y = (means - support[q]) / (total - q_count * support[q])
-        probs[...] = y[..., None]
-        probs[..., q] = 1.0 - (q_count - 1) * y
-
-    # Exact unit sum: the trailing component is the closure of the rest.
-    probs[..., -1] = 1.0 - probs[..., :-1].sum(axis=-1)
     return probs

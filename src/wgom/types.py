@@ -12,6 +12,7 @@ uses only its ``admissible``, ``range_description`` and ``name``.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -53,6 +54,24 @@ def _check_seed(seed) -> None:
     """``ConfigError`` unless ``seed`` is a Python or numpy integer >= 0 (a bool is not)."""
     if not (_is_count(seed) and seed >= 0):
         raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+
+
+def _number(name: str, value, *, whole: bool = False, least=-math.inf, most=math.inf):
+    """The number rule: ``value`` as an int in [least, most] (``whole``) or a finite
+    float in (least, most], else ``ConfigError`` naming ``name``, the rule and the
+    value.  Python and numpy numbers pass; a bool, str or None, a non-finite number,
+    an int beyond float range or a fraction where a whole number is due do not."""
+    try:
+        real = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:
+        real = math.nan
+    if whole and real.is_integer() and least <= int(value) <= most:
+        return int(value)
+    if not whole and math.isfinite(real) and least < real <= most:
+        return real
+    low = "" if least == -math.inf else f" >= {least}" if whole else f" > {least}"
+    high = "" if most == math.inf else f" and <= {most}"
+    raise ConfigError(f"{name} must be a {'whole' if whole else 'finite'} number{low}{high}, got {value!r}")
 
 
 def _frozen_copy(values, name: str) -> np.ndarray:
@@ -144,7 +163,7 @@ class ModelSpec:
     """Everything needed to sample a response matrix.
 
     ``sparsity`` is the retention probability of the independent Bernoulli
-    mask applied after sampling; 1.0 keeps every entry.
+    mask applied after sampling, a number in (0, 1]; 1.0 keeps every entry.
     """
 
     membership: MembershipMatrix
@@ -158,8 +177,7 @@ class ModelSpec:
                 f"membership has {self.membership.n_classes} classes but item "
                 f"parameters have {self.item_params.n_classes}"
             )
-        if not (0.0 < self.sparsity <= 1.0):
-            raise ConfigError(f"sparsity must lie in (0, 1], got {self.sparsity}")
+        object.__setattr__(self, "sparsity", _number("sparsity", self.sparsity, least=0, most=1))
 
     @property
     def n_subjects(self) -> int:

@@ -483,6 +483,8 @@ def test_exit_code_config_error(tmp_path, capsys):
         {"name": "normal", "sigma2": 1e999},
         {"name": "normal", "sigma": 4},  # an unknown key
         {"name": "discrete", "support": [0, 1, 3], "scheme": 1.5},
+        {"name": "binomial", "m": True},  # a bool is not a number
+        {"name": "discrete", "support": ["0", "1", "3"]},  # nor is a numeric string
     )
     for extra in (
         {"sparsity": 1.5},

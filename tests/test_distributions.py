@@ -15,13 +15,18 @@ from wgom import (
     ConfigError,
     Exponential,
     GeneralDiscrete,
+    ItemParams,
+    MembershipMatrix,
+    ModelSpec,
     Normal,
     Poisson,
     SignedBinary,
     Uniform,
+    WgomError,
+    construct_discrete,
     distribution_from_config,
 )
-from wgom.sampling import DISTRIBUTIONS, RANGE_TOL
+from wgom.sampling import DISTRIBUTIONS, RANGE_TOL, discrete_mean_interval
 
 INF = np.inf
 
@@ -103,6 +108,12 @@ def test_normal_variance_defaults_to_one():
         {"name": "discrete", "support": [0, float("nan"), 2]},
         {"name": "discrete", "support": [0, 1, 2], "scheme": float("inf")},
         {"name": "discrete", "support": [0, 1, 3], "scheme": 1.5},
+        # Bools and numeric strings are not numbers.
+        {"name": "binomial", "m": True},
+        {"name": "normal", "sigma2": True},
+        {"name": "discrete", "support": [0, 1, 3], "scheme": True},
+        {"name": "discrete", "support": ["0", "1", "3"]},
+        {"name": "discrete", "support": [0, "1", 3]},
     ],
 )
 def test_bad_distribution_configs_are_config_errors(config):
@@ -139,3 +150,35 @@ def test_distribution_from_config_returns_a_member_or_config_error(config):
     except ConfigError:
         return
     assert type(dist) is DISTRIBUTIONS[config["name"]]
+
+
+# Each model parameter's entry point and how many arguments it takes; every
+# one of them reads its numbers by the same rule.
+PARAMETER_CALLS = {
+    "Binomial": (Binomial, 1),
+    "Normal": (Normal, 1),
+    "GeneralDiscrete": (GeneralDiscrete, 2),
+    "construct_discrete": (construct_discrete, 3),
+    "discrete_mean_interval": (discrete_mean_interval, 2),
+    "ModelSpec": (
+        lambda sparsity: ModelSpec(MembershipMatrix(np.eye(2)), ItemParams(np.eye(2)), Bernoulli(), sparsity),
+        1,
+    ),
+}
+# JSON values, plus the scheme names and short numeric supports that reach
+# the interval algebra.
+ARGUMENTS = (
+    JSON
+    | st.sampled_from(["binary", "mean-locked"])
+    | st.lists(st.integers(-3, 3) | st.floats(), min_size=2, max_size=4)
+)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(PARAMETER_CALLS)), args=st.lists(ARGUMENTS, min_size=3, max_size=3))
+def test_model_parameters_return_a_value_or_a_wgom_error(name, args):
+    call, arity = PARAMETER_CALLS[name]
+    try:
+        call(*args[:arity])
+    except WgomError:
+        pass

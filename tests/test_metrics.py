@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from wgom import (
+    ConfigError,
     DataFormatError,
     DimensionError,
     accuracy_rate,
@@ -136,6 +137,13 @@ def test_profile_custom_thresholds():
     profile = profile_memberships(pi, mixed_threshold=0.75, pure_threshold=0.8)
     assert profile.omega_mixed == pytest.approx(0.5)
     assert profile.omega_pure == pytest.approx(0.5)
+
+
+def test_profile_thresholds_follow_the_number_rule():
+    pi = np.array([[0.7, 0.3], [0.85, 0.15]])
+    for thresholds in ({"mixed_threshold": "a"}, {"pure_threshold": None}, {"mixed_threshold": True}):
+        with pytest.raises(ConfigError):
+            profile_memberships(pi, **thresholds)
 
 
 def test_data_sparsity():

@@ -161,6 +161,26 @@ def test_out_of_interval_mean_is_range_error():
         construct_discrete((-1.0, 1.0), "binary", 1.2)
 
 
+@pytest.mark.parametrize(
+    "support, scheme",
+    [
+        ((0.0, 1.0, 2.0), "bogus"),
+        (5, 0),
+        ((1.0, 0.0), 0),
+        (("0", "1", "3"), 0),
+        ((0.0, 1.0, 2.0), "binary"),  # "binary" needs exactly 2 points
+        ((0.0, 1.0, 3.0), 1.5),  # no longer truncated to index 1
+        ((0.0, 1.0, 3.0), True),
+        ((0.0, 1.0), "mean-locked"),
+    ],
+)
+def test_bad_support_or_scheme_is_a_config_error(support, scheme):
+    with pytest.raises(ConfigError):
+        discrete_mean_interval(support, scheme)
+    with pytest.raises(ConfigError):
+        construct_discrete(support, scheme, 0.5)
+
+
 def test_bad_support_rejected():
     with pytest.raises(ValueError):
         construct_discrete((1.0,), 0, 1.0)
