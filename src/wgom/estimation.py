@@ -66,7 +66,7 @@ def _simplex_memberships(x: np.ndarray, vertices: np.ndarray) -> tuple[np.ndarra
     Returns (pi, number of rows that clamped to zero)."""
     corners = x[vertices]
     gram_inv, _ = solve_small_inverse(corners @ corners.T)
-    z = np.maximum(0.0, x @ corners.T @ gram_inv)
+    z = np.maximum(0.0, (corners @ x.T).T @ gram_inv)
     return _normalize_clamped(z, len(vertices))
 
 
@@ -143,7 +143,7 @@ class _Sweep:
         pi, n_clamped, vertices = self.memberships(k)
         if k not in self._fits:
             if self._svd is None:
-                target_t_pi = self.responses.T @ pi
+                target_t_pi = (pi.T @ self.responses).T
                 singular_values = np.linalg.svd(self.responses[vertices], compute_uv=False)
             else:
                 # Rank-k reconstruction target, never materialized:

@@ -9,6 +9,18 @@ is a seeded range finder on that sketch with four orthonormalized power
 iterations (Halko, Martinsson & Tropp 2011).  Every k <= 15 thus takes the
 same path, and on the randomized one draws the same 25-column sketch for a
 given seed, so its top-k factors are exactly the leading k of the top-15 ones.
+
+Every product of a response matrix with a thin factor of several columns puts
+the thin operand on the left and transposes the result back: the range finder
+forms A Omega, A' Q and A W as (Omega' A')', (Q' A)' and (W' A')', and
+``modularity``'s trace and ``estimation``'s simplex weights and rmsp
+regression form R' pi and X C' as (pi' R)' and (C X')'.  (One-column products
+time the same either way.)  OpenBLAS runs this orientation faster on tall
+operands.  At 2000 x 1000 with 25 columns (2-core Xeon, OpenBLAS 0.3.31, 2
+threads), A' Q takes 4.9 ms against 2.5 ms for (Q' A)', A W 3.3 ms against
+2.5 ms, and one randomized SVD 67 ms against 51 ms.  The rule changes rounding only: each entry is the same dot product,
+but BLAS may pick another kernel for it, so the last bit can differ from the
+other orientation's.
 """
 
 from __future__ import annotations
@@ -67,10 +79,10 @@ def _randomized_svd(a: np.ndarray, k: int, *, seed: int = 0):
     ell = _sketch_width(k, min(a.shape))
     rng = np.random.default_rng(seed)
     omega = rng.standard_normal((a.shape[1], ell))
-    q, _ = np.linalg.qr(a @ omega)
+    q, _ = np.linalg.qr((omega.T @ a.T).T)
     for _ in range(POWER_ITERATIONS):
-        w, _ = np.linalg.qr(a.T @ q)
-        q, _ = np.linalg.qr(a @ w)
+        w, _ = np.linalg.qr((q.T @ a).T)
+        q, _ = np.linalg.qr((w.T @ a.T).T)
     b = q.T @ a
     ub, s, vt = np.linalg.svd(b, full_matrices=False)
     return q @ ub, s, vt

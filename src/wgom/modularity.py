@@ -41,7 +41,7 @@ def _scores(r: np.ndarray, memberships) -> list:
         if pi.shape[0] != n:
             raise DimensionError(f"membership has {pi.shape[0]} subjects, responses have {n}")
     # All K concatenated: per-column degree sums d' pi_c and trace terms
-    # pi_c' A pi_c = |R' pi_c|^2, reduced per K below.
+    # pi_c' A pi_c = |(pi_c' R)'|^2 (``linalg``'s rule), squared in C order, reduced per K below.
     pi_all = np.hstack(pis)
     row_sums = r @ (r.T @ np.ones(n))
     if (r >= 0.0).all() or (r <= 0.0).all():
@@ -62,7 +62,7 @@ def _scores(r: np.ndarray, memberships) -> list:
         d_minus = np.maximum(d_plus - row_sums, 0.0)
 
     starts = np.cumsum([0] + [pi.shape[1] for pi in pis[:-1]])
-    trace = np.add.reduceat(((r.T @ pi_all) ** 2).sum(axis=0), starts)
+    trace = np.add.reduceat(np.square((pi_all.T @ r).T, order="C").sum(axis=0), starts)
     m_plus, m_minus = float(d_plus.sum() / 2.0), float(d_minus.sum() / 2.0)
 
     def part(t, d, m):

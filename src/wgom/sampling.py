@@ -191,7 +191,8 @@ class GeneralDiscrete(Distribution):
     ``support`` holds at least 2 strictly increasing numbers, and ``scheme``
     selects one closure of the underdetermined moment system (see the
     finite-support construction below); the constructor checks both by the
-    number rule (``ConfigError``):
+    number rule, and refuses a support whose construction would overflow
+    float range (``ConfigError``):
 
     * an integer q (0-based): the probability at support[q] is free and all
       other probabilities are equal (the scheme-q member of the canonical
@@ -222,6 +223,15 @@ class GeneralDiscrete(Distribution):
                 f"discrete scheme must be an index, \"binary\" on 2 support points or "
                 f"\"mean-locked\" on 3, got {self.scheme!r} on {len(support)}"
             )
+        # Q times the larger of max|a| and the span bounds the construction's
+        # sums (S, Q a_q and S - Q a_q); the mean-locked coefficients divide by
+        # a gap.  Python floats give inf where these overflow, without a warning.
+        lo, hi = support[0], support[-1]
+        sizes = [len(support) * max(-lo, hi, hi - lo)]
+        if self.scheme == "mean-locked":
+            sizes += _mean_locked_coeffs(support)
+        if not np.isfinite(sizes).all():
+            raise ConfigError(f"discrete support {support} is beyond float range for the construction's arithmetic")
 
     @property
     def _free_index(self) -> int:
@@ -405,8 +415,8 @@ def construct_discrete(support, scheme, mean: float) -> np.ndarray:
     DistributionRangeError
         If ``mean`` lies outside the scheme's admissible interval.
     InfeasibleSchemeError
-        If the scheme has no valid solution, or a solved probability escapes
-        [0, 1] by more than 1e-12.
+        If the scheme has no valid solution, or a solved probability is nan or
+        escapes [0, 1] by more than 1e-12.
     """
     dist = GeneralDiscrete(support, scheme)
     mean = _number("mean", mean)
@@ -416,7 +426,8 @@ def construct_discrete(support, scheme, mean: float) -> np.ndarray:
             f"of scheme {scheme!r} on support {dist.support}"
         )
     probs = dist._probabilities(mean)
-    if (probs < -PROB_TOL).any() or (probs > 1.0 + PROB_TOL).any():
+    # Written so that a nan probability fails too.
+    if not ((probs >= -PROB_TOL) & (probs <= 1.0 + PROB_TOL)).all():
         raise InfeasibleSchemeError(
             f"scheme {scheme!r} yields probabilities outside [0, 1]: {probs}"
         )

@@ -4,8 +4,10 @@ Everything here is deliberately naive (enumeration, double loops, full
 decompositions) and built from numpy primitives only, so it cannot share a
 failure mode with the library paths it checks.  The exceptions are
 ``select_by_single_fits``, which checks the class-count sweep against the
-library's own single fits, and ``leading``, which reads the library's
-decompositions the way its estimators do.
+library's own single fits, ``leading``, which reads the library's
+decompositions the way its estimators do, and ``randomized_svd_reference``,
+which is the library's range finder with every product in its plain
+orientation.
 """
 
 import itertools
@@ -14,7 +16,7 @@ from collections import namedtuple
 import numpy as np
 
 from wgom import DegenerateRankError, DimensionError, RankDeficiencyError, modularity, rmsp, scgoma
-from wgom.linalg import _check_spectrum, _fix_signs
+from wgom.linalg import POWER_ITERATIONS, _check_spectrum, _fix_signs, _sketch_width
 from wgom.types import response_array
 from wgom.vertex_hunting import _projection_searches
 
@@ -31,6 +33,20 @@ def leading(u, s, vt, k) -> TopK:
     u, vt = u[:, :k].copy(), vt[:k].copy()
     _fix_signs(u, vt)
     return TopK(u, s[:k].copy(), vt.T.copy())
+
+
+def randomized_svd_reference(a, k, *, seed=0):
+    """``linalg._randomized_svd`` with the tall operand on the left of every
+    product (A Omega, A' Q, A W): the same sketch and the same arithmetic, so
+    only rounding may differ from the library's."""
+    rng = np.random.default_rng(seed)
+    omega = rng.standard_normal((a.shape[1], _sketch_width(k, min(a.shape))))
+    q, _ = np.linalg.qr(a @ omega)
+    for _ in range(POWER_ITERATIONS):
+        w, _ = np.linalg.qr(a.T @ q)
+        q, _ = np.linalg.qr(a @ w)
+    ub, s, vt = np.linalg.svd(q.T @ a, full_matrices=False)
+    return q @ ub, s, vt
 
 
 def brute_hamming(pi_hat, pi_true) -> float:

@@ -165,9 +165,9 @@ PINNED_FITS = [
     },
     {
         "scgoma": (
-            "995b67b458f501154d9dca692b33d5336650293c1a52c6f1f3c55f0dcba4d185",
-            "b57d67a29dc948a3f888e49ca8b8897d5110afd3bc554258aa722c21abea6996",
-            "2a8a2ca5e6a42c20fb06cc43ca9c65d7826c2374273d60cdcb7ebd2e1ca582da",
+            "08dbbc1a0e302ea17135c789889f19b05debbf766f97388c52ebfc3a247d13ee",
+            "cea809ed7df7a0e00d43e5cf89f2ccf6e3c02d1e5ec5603ace7e631de7e8a47b",
+            "7bbf5abb7955f4e77ffe28f4f2549d398b963e4b673ff6fd841edb02f8fff63c",
         ),
         "rmsp": (
             "1c8f80cd33c8a38a956ec28de9e341331160352197286aad261d142869f66250",

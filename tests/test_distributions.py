@@ -3,10 +3,11 @@ config keys."""
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wgom import (
@@ -182,3 +183,33 @@ def test_model_parameters_return_a_value_or_a_wgom_error(name, args):
         call(*args[:arity])
     except WgomError:
         pass
+
+
+# Support points and means near the float limit, where the construction's
+# sums (S, Q a_q, S - Q a_q) and the mean-locked coefficients overflow unless
+# GeneralDiscrete refuses the support.  Means are mostly drawn between the
+# support's ends, so that many reach the probability algebra.
+HUGE = st.floats(min_value=1e306, max_value=np.finfo(float).max)
+NEAR_LIMIT = HUGE | HUGE.map(lambda x: -x) | st.sampled_from([0.0, 1.0, -1.0, 5e-324, 1e-300])
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+# Q a_1 overflows in the first; in the second Q max|a| is finite and S - Q a_0 overflows.
+@example(support=[0.0, 8.98846567431158e307], scheme=1, weight=0.0)
+@example(support=[-5.9e307, 5.8e307, 5.9e307], scheme=0, weight=0.5)
+@given(
+    support=st.lists(NEAR_LIMIT, min_size=2, max_size=4, unique=True).map(sorted),
+    scheme=st.integers(0, 3) | st.sampled_from(["binary", "mean-locked"]),
+    weight=st.floats(0.0, 1.0) | NEAR_LIMIT,
+)
+def test_discrete_supports_near_the_float_limit_give_a_vector_or_a_wgom_error(support, scheme, weight):
+    mean = (1.0 - weight) * support[0] + weight * support[-1] if 0.0 <= weight <= 1.0 else weight
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            discrete_mean_interval(support, scheme)
+            probs = construct_discrete(support, scheme, mean)
+        except WgomError:
+            return
+    assert ((probs >= -1e-12) & (probs <= 1.0 + 1e-12)).all()
+    assert abs(probs.sum() - 1.0) <= 1e-12

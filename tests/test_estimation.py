@@ -24,7 +24,7 @@ from wgom import (
 )
 from wgom.errors import ConfigError
 from wgom.estimation import _normalize_clamped
-from wgom.linalg import _decompose
+from wgom.linalg import _decompose, solve_small_inverse
 
 from helpers import block_pi, brute_hamming, leading
 
@@ -200,6 +200,28 @@ def test_class_counts_above_64():
         assert result.item_params_hat.shape == (200, 70)
     _, curve = select_k(r, "scgoma", 70)
     assert [k for k, _ in curve][-1] == 70
+
+
+@pytest.mark.parametrize("shape", [(300, 150), (1000, 500)])
+@pytest.mark.parametrize("method", ["scgoma", "rmsp"])
+def test_fits_match_the_plain_products(method, shape):
+    # The simplex weights form X C' as (C X')' and rmsp's regression forms
+    # R' pi as (pi' R)'.  The straight products agree to rounding, so a factor
+    # not transposed back fails as a value.
+    rng = np.random.default_rng(shape[0])
+    n, j = shape
+    r = block_pi(n, 3, n // 4) @ rng.random((j, 3)).T + 0.2 * rng.standard_normal(shape)
+    sweep = ClassCountSweep(r, method, 6)
+    for k in (2, 3, 6):
+        pi, _, vertices = sweep.memberships(k)
+        x = r if method == "rmsp" else leading(*_decompose(r, 6), k).left
+        corners = x[vertices]
+        want, _ = _normalize_clamped(np.maximum(0.0, x @ corners.T @ solve_small_inverse(corners @ corners.T)[0]), k)
+        assert np.abs(pi - want).max() <= 1e-13
+        if method == "rmsp":
+            theta = sweep.fit(k).item_params_hat
+            want = r.T @ pi @ solve_small_inverse(pi.T @ pi)[0]
+            assert np.abs(theta - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("k", [1, 3, 15, 16, 20])

@@ -5,7 +5,7 @@ import scipy.linalg
 from wgom import DegenerateRankError, DimensionError, scgoma
 from wgom.linalg import PINV_FALLBACK_RTOL, _decompose, _randomized_svd, solve_small_inverse
 
-from helpers import block_pi, leading
+from helpers import block_pi, leading, randomized_svd_reference
 
 
 def top_k(a, k, seed=0):
@@ -120,6 +120,20 @@ def test_one_sketch_serves_every_k_up_to_15():
     # Above 15 the sketch widens with k, so the factors differ.
     wider = randomized(a, 16, seed=3)
     assert not np.array_equal(wider.left[:, :15], top.left)
+
+
+@pytest.mark.parametrize("shape", [(200, 100), (300, 150), (1000, 500), (120, 400)])
+def test_randomized_svd_matches_the_plain_orientation(shape):
+    # The range finder forms each tall product as (thin' A')' or (thin' A)';
+    # that changes rounding only, so a factor transposed back wrongly fails
+    # here as a value, not only as a shape.
+    a = np.random.default_rng(shape[0]).standard_normal(shape)
+    for k in (1, 3, 15):
+        u, s, vt = _randomized_svd(a, k, seed=4)
+        ref_u, ref_s, ref_vt = randomized_svd_reference(a, k, seed=4)
+        assert np.abs(s[:k] - ref_s[:k]).max() <= 1e-13 * ref_s[0]
+        assert np.abs(np.abs(u[:, :k]) - np.abs(ref_u[:, :k])).max() <= 1e-10
+        assert np.abs(np.abs(vt[:k]) - np.abs(ref_vt[:k])).max() <= 1e-10
 
 
 def test_randomized_internal_shapes():

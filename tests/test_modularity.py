@@ -32,6 +32,26 @@ def test_trace_form_matches_double_sum_oracle():
         assert abs(fast - slow) <= 1e-10
 
 
+@pytest.mark.parametrize("shape", [(300, 150), (1000, 500)])
+def test_scores_match_the_plain_trace_product(shape):
+    # _scores forms R' pi as (pi' R)' and squares it into C order; Q from the
+    # straight product R' pi and a full A = RR' agrees to rounding, so a trace
+    # summed over the wrong axis or not transposed back fails as a value.
+    rng = np.random.default_rng(shape[0])
+    n, j = shape
+    for r in (rng.standard_normal(shape), rng.random(shape)):
+        pis = [random_row_stochastic(rng, n, k) for k in (1, 2, 3, 7)]
+        a = r @ r.T
+        d_plus, d_minus = np.maximum(a, 0.0).sum(axis=1), np.maximum(-a, 0.0).sum(axis=1)
+        m_plus, m_minus = d_plus.sum() / 2.0, d_minus.sum() / 2.0
+        for pi, got in zip(pis, modularity._scores(r, pis)):
+            want = ((r.T @ pi) ** 2).sum() - ((d_plus @ pi) ** 2).sum() / (2.0 * m_plus)
+            if m_minus > 0.0:
+                want += ((d_minus @ pi) ** 2).sum() / (2.0 * m_minus)
+            want = 0.0 if pi.shape[1] == 1 else want / (2.0 * (m_plus + m_minus))
+            assert abs(got - want) <= 1e-13
+
+
 def test_single_class_membership_scores_exactly_zero():
     rng = np.random.default_rng(1)
     r = rng.random((12, 8))
