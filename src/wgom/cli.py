@@ -45,13 +45,7 @@ from .experiments import (
 from .metrics import data_sparsity, profile_memberships
 from .modularity import ClassCountSweep, select_k
 from .sampling import sample_response
-from .types import (
-    PURE_TOL_LOADED,
-    ItemParams,
-    MembershipMatrix,
-    ModelSpec,
-    validate_model_spec,
-)
+from .types import ItemParams, MembershipMatrix, ModelSpec, validate_model_spec
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -140,7 +134,7 @@ def cmd_generate(args) -> int:
         config["seed"] = args.seed
     try:
         spec, seed = _spec_from_config(config)
-        violations = validate_model_spec(spec, pure_tol=PURE_TOL_LOADED)
+        violations = validate_model_spec(spec)
         if violations:
             raise ConfigError("invalid model spec: " + "; ".join(violations))
         responses, diagnostics = sample_response(spec, seed)
@@ -252,7 +246,6 @@ def cmd_experiment(args) -> int:
             replicates=replicates,
             seed=seed,
             k_max=k_max,
-            threads=args.threads,
             **{key: settings[key] for key in ("n", "k", "rho", "sparsity", "mean_range") if key in settings},
         )
         # After run_experiment has checked the grid and flags: a rejected run writes nothing.
@@ -335,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--seed", type=int, default=None, help="override the config seed")
     exp.add_argument("--replicates", type=int, default=None)
     exp.add_argument("--k-max", type=int, default=None, dest="k_max")
-    exp.add_argument("--threads", type=int, default=1, help="parallel replicates per grid point")
     exp.add_argument("--format", choices=("csv", "json"), default="csv")
     exp.set_defaults(func=cmd_experiment)
 

@@ -8,8 +8,9 @@ The class-count sweep geometry instead scales with k: N = 100k, J = 50k,
 
 Replicate r of an experiment seeded with s draws from the generator
 ``default_rng(SeedSequence([s, r]))``; streams are independent across
-replicates, reproducible regardless of scheduling, and shared across grid
-points so parameter comparisons are paired.
+replicates, reproducible, and shared across grid points so parameter
+comparisons are paired.  Replicates run one after another; the parallel
+work of a replicate is BLAS's.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import math
 import time
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,9 +30,9 @@ from .modularity import ClassCountSweep
 from .sampling import DISTRIBUTIONS, GeneralDiscrete, sample_response
 from .types import ItemParams, MembershipMatrix, ModelSpec, _number
 
-# Every top-level key of a ``generate`` or ``experiment`` config, and ``threads``, which no config takes: the
-# subcommands that accept and require it, and its kind (None: checked where it is used): a whole number (int)
-# >= least, a finite real (float) in (least, most], a finite pair (tuple) lo < hi, a non-empty str or list.
+# Every top-level key of a ``generate`` or ``experiment`` config: the subcommands that accept and require it,
+# and its kind (None: checked where it is used): a whole number (int) >= least, a finite real (float) in
+# (least, most], a finite pair (tuple) lo < hi, a non-empty str or list.
 ConfigKey = namedtuple("ConfigKey", "commands required kind least most", defaults=((), None, 0, math.inf))
 GENERATE, EXPERIMENT, BOTH = ("generate",), ("experiment",), ("generate", "experiment")
 CONFIG_KEYS = {
@@ -53,7 +53,6 @@ CONFIG_KEYS = {
     "family": ConfigKey(EXPERIMENT, EXPERIMENT),
     "values": ConfigKey(EXPERIMENT, EXPERIMENT, list),
     "methods": ConfigKey(EXPERIMENT, (), list),
-    "threads": ConfigKey((), (), int, 1),
 }
 # The config key each experiment family sweeps.
 FAMILY_KEYS = {"rho": "rho", "n": "n", "k": "k", "p": "sparsity"}
@@ -312,6 +311,10 @@ def run_experiment(
     (``DistributionRangeError``, ``DimensionError``, ``RankDeficiencyError``
     or any other ``WgomError``) abort just that grid point and record an
     error row (metrics NaN); remaining grid points still run.
+
+    Replicates run one after another.  ``threads`` accepts only 1
+    (``ConfigError`` otherwise): it is kept for callers that still pass
+    ``threads=1`` and goes with them.
     """
     family = normalize_family(family)
     if method not in METHODS:
@@ -319,7 +322,7 @@ def run_experiment(
     mean_range = None if mean_range is None else config_value("mean_range", mean_range)
 
     seed, replicates, k_max = (config_value(*item) for item in (("seed", seed), ("replicates", replicates), ("k_max", k_max)))
-    threads = config_value("threads", threads)
+    _number("threads", threads, whole=True, least=1, most=1)
     base = {key: config_value(key, number) for key, number in (("n", n), ("k", k), ("rho", rho), ("sparsity", sparsity))}
     key = FAMILY_KEYS[family]
     points = [(value, {**base, key: config_value(key, value)}) for value in values]
@@ -330,27 +333,20 @@ def run_experiment(
         check_addressable(params["n"], params["j"], params["k"])
     rows = []
     for value, params in points:
-
-        def one_replicate(rep: int, params=params):
-            rng = replicate_rng(seed, rep)
-            spec = simulation_spec(distribution, **params, mean_range=mean_range, rng=rng)
-            responses, _ = sample_response(spec, rng)
-            k, k_sweep = params["k"], min(k_max, min(responses.values.shape))
-            started = time.perf_counter()
-            sweep = ClassCountSweep(responses, method, max(k_sweep, k))
-            result = sweep.fit(k)
-            elapsed = time.perf_counter() - started
-            ham = hamming_error(result.membership_hat, spec.membership)
-            rel = relative_error(result.item_params_hat, spec.item_params.values)
-            k_hat, _ = sweep.select(k_sweep)
-            return ham, rel, elapsed, k_hat
-
+        outcomes = []
         try:
-            if threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    outcomes = list(pool.map(one_replicate, range(replicates)))
-            else:
-                outcomes = [one_replicate(rep) for rep in range(replicates)]
+            for rep in range(replicates):
+                rng = replicate_rng(seed, rep)
+                spec = simulation_spec(distribution, **params, mean_range=mean_range, rng=rng)
+                responses, _ = sample_response(spec, rng)
+                k_sweep = min(k_max, min(responses.values.shape))
+                started = time.perf_counter()
+                sweep = ClassCountSweep(responses, method, max(k_sweep, params["k"]))
+                result = sweep.fit(params["k"])
+                elapsed = time.perf_counter() - started
+                ham = hamming_error(result.membership_hat, spec.membership)
+                rel = relative_error(result.item_params_hat, spec.item_params.values)
+                outcomes.append((ham, rel, elapsed, sweep.select(k_sweep)[0]))
         except (ConfigError, InfeasibleSchemeError):
             raise
         except MemoryError as exc:

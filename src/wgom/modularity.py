@@ -63,6 +63,12 @@ def _scores(r: np.ndarray, memberships) -> list:
 
     starts = np.cumsum([0] + [pi.shape[1] for pi in pis[:-1]])
     trace = np.add.reduceat(np.square((pi_all.T @ r).T, order="C").sum(axis=0), starts)
+    # Q is a ratio: one power of two on d+, d- and the trace changes no bit of
+    # it, and keeps (d' pi)^2 in float range wherever the degrees are.
+    peak = max(d_plus.max(), d_minus.max())
+    if peak > 0.0:
+        shift = -np.frexp(peak)[1]
+        d_plus, d_minus, trace = (np.ldexp(x, shift) for x in (d_plus, d_minus, trace))
     m_plus, m_minus = float(d_plus.sum() / 2.0), float(d_minus.sum() / 2.0)
 
     def part(t, d, m):

@@ -17,6 +17,7 @@ create missing responses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar, Union
 
@@ -164,10 +165,11 @@ class SignedBinary(Distribution):
 
 @dataclass(frozen=True)
 class Poisson(Distribution):
-    """Nonnegative integer counts with rate equal to the mean."""
+    """Nonnegative integer counts with rate equal to the mean, up to numpy's
+    largest rate (about 9.22e18)."""
 
     name = "poisson"
-    interval = (0.0, np.inf, True)
+    interval = (0.0, np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10, True)
 
     def draw(self, means, rng):
         return rng.poisson(means).astype(float)
@@ -318,8 +320,9 @@ def sample_response(spec: ModelSpec, seed) -> tuple[ResponseMatrix, SampleDiagno
     ------
     ConfigError
         If ``seed`` is none of those (``None``, a bool, or a negative or
-        fractional number), or if a draw overflows to a non-finite entry
-        (means near the float limit, say from a huge ``rho``).
+        fractional number), or if the draws overflow: a non-finite entry or
+        a non-finite ``gamma_hat`` (means or noise near the float limit, say
+        from a huge ``rho`` or ``sigma2``).  Every number reported is finite.
     DistributionRangeError
         If any expected response falls outside the distribution's admissible
         mean range (the first offending entry is named).
@@ -338,19 +341,20 @@ def sample_response(spec: ModelSpec, seed) -> tuple[ResponseMatrix, SampleDiagno
             f"{spec.distribution.name}"
         )
 
+    # |draws - r0| in r0's buffer: r0 is not needed after tau_hat.  A draw
+    # that overflows makes tau_hat inf, so one test refuses it and a
+    # gamma_hat beyond float range alike.
     with np.errstate(over="ignore", invalid="ignore"):
         draws = spec.distribution.draw(r0, rng)
-    if not np.isfinite(draws).all():
-        raise ConfigError(
-            f"{spec.distribution.name} draws overflow to a non-finite response; "
-            f"the largest |mean| is {np.abs(r0).max():.6g}"
-        )
-
-    # |draws - r0| in r0's buffer: r0 is not needed after tau_hat.
-    np.abs(np.subtract(draws, r0, out=r0), out=r0)
+        np.abs(np.subtract(draws, r0, out=r0), out=r0)
     tau_hat = float(r0.max())
-    gamma_hat = float(tau_hat**2 / spec.item_params.scale)
     del r0
+    gamma_hat = tau_hat * (tau_hat / spec.item_params.scale)
+    if not math.isfinite(gamma_hat):
+        raise ConfigError(
+            f"{spec.distribution.name} draws overflow: the largest deviation from the mean, "
+            f"squared over the item parameter scale {spec.item_params.scale:.6g}, is not finite"
+        )
 
     if spec.sparsity < 1.0:
         draws *= rng.random(draws.shape) < spec.sparsity

@@ -26,8 +26,7 @@ if TYPE_CHECKING:
 
 ROW_SUM_TOL = 1e-9
 RANK_RTOL = 1e-10
-PURE_TOL_SAMPLED = 1e-12
-PURE_TOL_LOADED = 1e-6
+PURE_TOL = 1e-6
 
 
 def _checked_matrix(values, name: str) -> np.ndarray:
@@ -237,7 +236,7 @@ def response_array(responses) -> np.ndarray:
     return _checked_matrix(responses, "response matrix")
 
 
-def validate_model_spec(spec: ModelSpec, *, pure_tol: float = PURE_TOL_SAMPLED) -> list:
+def validate_model_spec(spec: ModelSpec) -> list:
     """Collect every model-invariant violation of ``spec``.
 
     Returns a list of human-readable violation strings; an empty list means
@@ -245,9 +244,9 @@ def validate_model_spec(spec: ModelSpec, *, pure_tol: float = PURE_TOL_SAMPLED) 
     nothing is raised.
 
     Checks: nonnegative memberships, unit row sums, at least one pure subject
-    per class, item parameters with finite singular values (no overflow) and
-    full column rank, and expected responses inside the distribution's
-    admissible mean range.
+    per class (a weight of at least 1 - ``PURE_TOL`` on it), item parameters
+    with finite singular values (no overflow) and full column rank, and
+    expected responses inside the distribution's admissible mean range.
     """
     violations = []
     pi = spec.membership.rows
@@ -263,7 +262,7 @@ def validate_model_spec(spec: ModelSpec, *, pure_tol: float = PURE_TOL_SAMPLED) 
         violations.append(f"membership row {i} sum != 1 (got {row_sums[i]:.12g})")
 
     for cls in range(k):
-        if not (pi[:, cls] >= 1.0 - pure_tol).any():
+        if not (pi[:, cls] >= 1.0 - PURE_TOL).any():
             violations.append(f"no pure subject for class {cls} (pure-subject condition fails)")
 
     theta = spec.item_params.values

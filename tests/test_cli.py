@@ -600,9 +600,12 @@ def test_exit_code_config_error(tmp_path, capsys):
     experiment.write_text(json.dumps({**sweep, "methods": ["scgoma", "scgoma"]}))
     assert main(["experiment", str(experiment), "--out", str(tmp_path / "m")]) == 2
     assert not (tmp_path / "m").exists()
+    # experiment takes no --threads: replicates run in order.  argparse exits 2.
     experiment.write_text(json.dumps(sweep))
-    for threads in ("0", "-2"):
-        assert main(["experiment", str(experiment), "--out", str(tmp_path / "t"), "--threads", threads]) == 2
+    for threads in ("0", "-2", "2"):
+        with pytest.raises(SystemExit) as exited:
+            main(["experiment", str(experiment), "--out", str(tmp_path / "t"), "--threads", threads])
+        assert exited.value.code == 2
     assert not (tmp_path / "t").exists()
     matrix = tmp_path / "m.csv"
     write_dense_csv(matrix, np.random.default_rng(0).random((20, 10)))
@@ -618,6 +621,48 @@ def test_exit_code_config_error(tmp_path, capsys):
         for config in ("5", "null", "[1]", '"n"'):
             experiment.write_text(config)
             assert main([command, str(experiment), "--out", str(tmp_path / "o")]) == 2
+
+
+# Models whose draws reach numpy's or float's limits: (distribution, rho,
+# generate's exit code, experiment's).  Poisson's rate passes numpy's limit,
+# which the admissible range refuses (an error row in an experiment); the
+# Exponential draws and the Normal noise overflow gamma_hat; Uniform's
+# deviations stay finite (its sweep may then record an estimator's error row).
+FLOAT_LIMIT_MODELS = [
+    ({"name": "poisson"}, 1e20, 2, 0),
+    ({"name": "exponential"}, 1e307, 2, 2),
+    ({"name": "normal", "sigma2": 1.7e308}, 1.0, 2, 2),
+    ({"name": "uniform"}, 1e307, 0, 0),
+]
+
+
+@pytest.mark.parametrize(
+    "distribution,rho,generate_code,experiment_code", FLOAT_LIMIT_MODELS, ids=[d["name"] for d, *_ in FLOAT_LIMIT_MODELS]
+)
+def test_models_at_the_float_limit_exit_with_documented_codes(
+    tmp_path, capsys, distribution, rho, generate_code, experiment_code
+):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n": 200, "j": 100, "k": 3, "distribution": distribution, "rho": rho, "seed": 1}))
+    capsys.readouterr()
+    assert main(["generate", str(config), "--out", str(tmp_path / "g")]) == generate_code
+    err = capsys.readouterr().err
+    if generate_code:
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert not (tmp_path / "g").exists()
+    else:
+        manifest = json.loads((tmp_path / "g" / "manifest.json").read_text())
+        assert np.isfinite([manifest["tau_hat"], manifest["gamma_hat"]]).all()
+    sweep = {"family": "rho", "values": [rho], "n": 60, "replicates": 2, "k_max": 4, "distribution": distribution}
+    config.write_text(json.dumps(sweep))
+    assert main(["experiment", str(config), "--out", str(tmp_path / "e")]) == experiment_code
+    err = capsys.readouterr().err
+    if experiment_code:
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert not (tmp_path / "e").exists()
+    elif distribution["name"] == "poisson":
+        errors = json.loads((tmp_path / "e" / "manifest.json").read_text())["errors"]
+        assert [row["error"].split(":")[0] for row in errors] == ["DistributionRangeError"]
 
 
 def test_estimate_accepts_k_above_64(tmp_path):

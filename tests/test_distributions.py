@@ -30,6 +30,8 @@ from wgom import (
 from wgom.sampling import DISTRIBUTIONS, RANGE_TOL, discrete_mean_interval
 
 INF = np.inf
+# numpy's largest Poisson rate: a larger one raises "lam value too large".
+POISSON_MAX = 9.223372006484771e18
 
 # (instance, lo, hi, lower end open, range text as printed before the catalog
 # moved into wgom.sampling)
@@ -39,7 +41,7 @@ CATALOG = [
     (Uniform(), 0.0, INF, False, "[0, inf)"),
     (Normal(sigma2=2.0), -INF, INF, False, "(-inf, inf)"),
     (SignedBinary(), -1.0, 1.0, False, "[-1, 1]"),
-    (Poisson(), 0.0, INF, True, "(0, inf)"),
+    (Poisson(), 0.0, POISSON_MAX, True, "(0, 9.22337e+18]"),
     (Exponential(), 0.0, INF, True, "(0, inf)"),
     (GeneralDiscrete(support=(0, 1, 3)), 0.0, 2.0, False, "[0, 2]"),
     (GeneralDiscrete(support=(0, 1, 2), scheme="mean-locked"), 0.5, 2 / 3, False, "[0.5, 0.666667]"),
@@ -73,9 +75,16 @@ def test_admissible_interval_ends(dist, lo, hi, lower_open, text):
         inside.append(1e300)
     else:
         inside += [hi, hi + RANGE_TOL / 2]
-        outside.append(hi + 2 * RANGE_TOL)
+        outside.append(np.nextafter(hi + RANGE_TOL, INF))  # past the slack, also where hi + RANGE_TOL == hi
     assert dist.admissible(np.array(inside)).all()
     assert not dist.admissible(np.array(outside)).any()
+
+
+def test_poisson_upper_end_is_numpys_largest_rate():
+    rng = np.random.default_rng(0)
+    assert Poisson().draw(np.array([POISSON_MAX]), rng) > 0
+    with pytest.raises(ValueError, match="lam value too large"):
+        Poisson().draw(np.array([np.nextafter(POISSON_MAX, INF)]), rng)
 
 
 @pytest.mark.parametrize("dist", [dist for dist, *_ in CATALOG], ids=IDS)

@@ -328,7 +328,7 @@ def test_run_experiment_checks_the_whole_grid_before_any_replicate(monkeypatch):
         {"family": "k", "values": [2.5]},
         {"values": ["0.6"]},
         {"replicates": True}, {"n": 40.5}, {"rho": float("inf")}, {"rho": -1.0}, {"sparsity": 2.0},
-        {"threads": 0}, {"n": 1e300}, {"family": "k", "values": [2, 1e300]}, {"mean_range": (1.0, float("inf"))},
+        {"threads": 0}, {"threads": 2}, {"threads": True}, {"n": 1e300}, {"family": "k", "values": [2, 1e300]}, {"mean_range": (1.0, float("inf"))},
     ):
         kwargs = {"family": "rho", "values": [1.0], **kwargs}
         with pytest.raises(ConfigError):

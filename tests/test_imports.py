@@ -14,25 +14,17 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 CHILD = """
-import dataclasses, json, sys
+import json, sys
 import wgom, wgom.cli
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 from wgom import Bernoulli, run_experiment
-kwargs = dict(n=60, k=2, k_max=4, replicates=2, seed=7)
-runs = {
-    threads: [
-        {key: value for key, value in dataclasses.asdict(row).items()
-         if key != "mean_runtime_seconds"}
-        for row in run_experiment("rho", [0.5, 1.0], Bernoulli(), threads=threads, **kwargs)
-    ]
-    for threads in (2, 1)
-}
+rows = run_experiment("rho", [0.5, 1.0], Bernoulli(), n=60, k=2, k_max=4, replicates=2, seed=7)
 after_run = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
-print(json.dumps({"loaded": loaded, "after_run": after_run, "threaded": runs[2], "serial": runs[1]}))
+print(json.dumps({"loaded": loaded, "after_run": after_run, "errors": [row.error for row in rows]}))
 """
 
 
-def test_import_loads_no_scipy_and_first_metric_call_is_thread_safe():
+def test_import_and_a_run_load_no_scipy():
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run([sys.executable, "-c", CHILD], capture_output=True, text=True, env=env)
@@ -40,8 +32,7 @@ def test_import_loads_no_scipy_and_first_metric_call_is_thread_safe():
     out = json.loads(proc.stdout.splitlines()[-1])
     assert out["loaded"] == []
     assert out["after_run"] == []
-    assert [row["error"] for row in out["threaded"]] == [None, None]
-    assert out["threaded"] == out["serial"]
+    assert out["errors"] == [None, None]
 
 
 # Imports one wgom module as the first, bypassing the package __init__ (which

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wgom import (
+    Bernoulli,
     Binomial,
     ClassCountSweep,
     DimensionError,
@@ -142,6 +143,17 @@ def test_select_k_finds_true_class_count():
     assert k_hat == 3
     assert curve[0] == (1, 0.0)
     assert len(curve) == 6
+
+
+def test_select_k_is_unchanged_by_a_power_of_two_scale():
+    # Q is a ratio and the scorer rescales its degrees by a power of two, so
+    # R * 2**300 and R * 2**-300 give the curve of R to the bit.
+    spec = simulation_spec(Bernoulli(), n=200, j=100, rng=np.random.default_rng(0))
+    r = sample_response(spec, 1)[0].values
+    expected = select_k(r, "scgoma")
+    assert expected[0] == 3
+    for e in (-300, 300):
+        assert select_k(np.ldexp(r, e), "scgoma") == expected
 
 
 def test_select_k_curve_scores_each_fit_alone():

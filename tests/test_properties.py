@@ -14,6 +14,7 @@ import io
 import json
 import re
 import tempfile
+import warnings
 from unittest.mock import patch
 
 import numpy as np
@@ -23,6 +24,11 @@ from hypothesis import strategies as st
 from wgom import (
     Binomial,
     ClassCountSweep,
+    GeneralDiscrete,
+    ItemParams,
+    MembershipMatrix,
+    ModelSpec,
+    Normal,
     WgomError,
     accuracy_rate,
     block_memberships,
@@ -42,6 +48,7 @@ from wgom import (
 from wgom import modularity
 from wgom.cli import main
 from wgom.experiments import CONFIG_KEYS
+from wgom.sampling import DISTRIBUTIONS
 
 from helpers import modularity_double_sum, random_row_stochastic, select_by_single_fits
 
@@ -231,6 +238,61 @@ def test_modularity_equals_double_sum_oracle(r, ks, rows, seed):
         scores = modularity._scores(r, pis)
     for pi, q in zip(pis, scores):
         assert abs(q - modularity_double_sum(r, pi)) <= 1e-10
+
+
+@SETTINGS
+@given(
+    r=st.builds(
+        signed_responses,
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["mixed", "nonnegative", "nonpositive", "zero", "rank-1"]),
+        n=st.integers(5, 25),
+        j=st.integers(1, 10),
+    ),
+    k=st.integers(1, 4),
+    e=st.integers(-400, 400),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_modularity_is_unchanged_by_a_power_of_two_scale(r, k, e, seed):
+    pi = random_row_stochastic(np.random.default_rng(seed), r.shape[0], k)
+    assert fuzzy_weighted_modularity(np.ldexp(r, e), pi) == fuzzy_weighted_modularity(r, pi)
+
+
+# ---------------------------------------------------------------------------
+# Sampling near the float limits
+# ---------------------------------------------------------------------------
+
+# Every catalog class, and fields at or near the largest they take.
+CATALOG = [cls() for name, cls in DISTRIBUTIONS.items() if name not in ("binomial", "discrete")] + [
+    Binomial(m=5), Binomial(m=2**63 - 1), Normal(sigma2=1.7e308),
+    GeneralDiscrete(support=(0, 1, 3)), GeneralDiscrete(support=(-1e300, 1e300), scheme="binary"),
+]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    dist=st.sampled_from(CATALOG),
+    log_scale=st.floats(-300, 308),
+    sparsity=st.floats(0, 1, exclude_min=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sampling_is_finite_or_raises_wgom_error(dist, log_scale, sparsity, seed):
+    """Item parameters of scale 10**log_scale, signed where the family admits
+    negative means: every number sampling returns is finite, or it refuses."""
+    rng = np.random.default_rng(seed)
+    low = -1.0 if dist.mean_interval()[0] < 0 else 0.0
+    b = rng.uniform(low, 1.0, (6, 2))
+    b[0, 0] = 1.0
+    pi = np.vstack([np.eye(2), random_row_stochastic(rng, 10, 2)])
+    spec = ModelSpec(MembershipMatrix(pi), ItemParams(10.0**log_scale * b), dist, sparsity=sparsity)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            responses, diagnostics = sample_response(spec, rng)
+        except WgomError:
+            return
+    assert np.isfinite(responses.values).all()
+    assert np.isfinite([diagnostics.tau_hat, diagnostics.gamma_hat]).all()
 
 
 # ---------------------------------------------------------------------------
