@@ -217,7 +217,8 @@ def rmsp(responses, k: int) -> EstimationResult:
     """Raw-row membership estimation: vertex search on R itself, no SVD.
 
     ``singular_values`` holds the singular values of the selected vertex rows
-    R[I] (the rank-k system inverted here).  Errors mirror ``scgoma``; an
+    R[I] (the rank-k system inverted here).  Errors mirror ``scgoma``, and a
+    row whose squared norm overflows float range is a ``DataFormatError``; an
     all-zero response matrix surfaces as a vertex-search rank deficiency.
     """
     return _Sweep(responses, "rmsp", k).fit(k)

@@ -12,7 +12,9 @@ build one.
 Sampling follows the generative recipe: compute the expected matrix
 R0 = Pi @ Theta.T, draw every entry independently from the distribution with
 that mean, then multiply by an independent Bernoulli(p) retention mask to
-create missing responses.
+create missing responses.  A row of R0 needs only the same row of Pi, so R is
+drawn, then masked, in row blocks of about ``BLOCK_BYTES``: the working memory
+is R plus a few blocks, and R's bytes do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ PROB_TOL = 1e-12
 # Slack on closed admissible-range endpoints so float dust in Pi @ Theta.T
 # does not trip spurious range errors.
 RANGE_TOL = 1e-12
+# Byte budget of one row block of R0 in ``sample_response``: small, since a
+# draw holds up to Q + 3 block-sized temporaries (the discrete draw), yet at
+# 256 KiB a 300 x 150 matrix would no longer be one block.
+BLOCK_BYTES = 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +82,7 @@ class Distribution:
     def draw(self, means: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """One independent draw per entry of ``means``, as a new float array
         that shares no memory with ``means`` (``sample_response`` masks it in
-        place and keeps it without a copy)."""
+        place, and keeps it without a copy when R is one block)."""
         raise NotImplementedError
 
 
@@ -325,30 +331,37 @@ def sample_response(spec: ModelSpec, seed) -> tuple[ResponseMatrix, SampleDiagno
         from a huge ``rho`` or ``sigma2``).  Every number reported is finite.
     DistributionRangeError
         If any expected response falls outside the distribution's admissible
-        mean range (the first offending entry is named).
+        mean range (the first offending entry is named, once the blocks before
+        it are drawn: a ``Generator`` passed as ``seed`` has advanced by those).
     """
     if not isinstance(seed, (np.random.Generator, np.random.SeedSequence)):
         _check_seed(seed)
     rng = np.random.default_rng(seed)
-    r0 = expected_responses(spec)
-
-    ok = spec.distribution.admissible(r0)
-    if not ok.all():
-        i, j = np.argwhere(~ok)[0]
-        raise DistributionRangeError(
-            f"expected response at ({i}, {j}) = {r0[i, j]:.6g} lies outside the "
-            f"admissible range {spec.distribution.range_description()} of "
-            f"{spec.distribution.name}"
-        )
-
-    # |draws - r0| in r0's buffer: r0 is not needed after tau_hat.  A draw
-    # that overflows makes tau_hat inf, so one test refuses it and a
-    # gamma_hat beyond float range alike.
-    with np.errstate(over="ignore", invalid="ignore"):
-        draws = spec.distribution.draw(r0, rng)
-        np.abs(np.subtract(draws, r0, out=r0), out=r0)
-    tau_hat = float(r0.max())
-    del r0
+    n, rows = spec.n_subjects, max(1, BLOCK_BYTES // (8 * spec.n_items))
+    blocks = [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
+    out = np.empty((n, spec.n_items)) if len(blocks) > 1 else None
+    tau_hat = 0.0
+    for block in blocks:
+        r0 = spec.membership.rows[block] @ spec.item_params.values.T
+        ok = spec.distribution.admissible(r0)
+        if not ok.all():
+            i, j = np.argwhere(~ok)[0]
+            raise DistributionRangeError(
+                f"expected response at ({block.start + i}, {j}) = {r0[i, j]:.6g} lies outside the "
+                f"admissible range {spec.distribution.range_description()} of {spec.distribution.name}"
+            )
+        # |draws - r0| in r0's buffer: r0 is not needed after tau_hat.  A draw
+        # that overflows makes tau_hat inf (or nan, which np.maximum keeps), so
+        # one test refuses it and a gamma_hat beyond float range alike.
+        with np.errstate(over="ignore", invalid="ignore"):
+            draws = spec.distribution.draw(r0, rng)
+            np.abs(np.subtract(draws, r0, out=r0), out=r0)
+        tau_hat = float(np.maximum(tau_hat, r0.max()))
+        if out is None:
+            out = draws
+        else:
+            out[block] = draws
+        del r0, draws
     gamma_hat = tau_hat * (tau_hat / spec.item_params.scale)
     if not math.isfinite(gamma_hat):
         raise ConfigError(
@@ -357,9 +370,10 @@ def sample_response(spec: ModelSpec, seed) -> tuple[ResponseMatrix, SampleDiagno
         )
 
     if spec.sparsity < 1.0:
-        draws *= rng.random(draws.shape) < spec.sparsity
+        for block in blocks:
+            out[block] *= rng.random(out[block].shape) < spec.sparsity
 
-    return ResponseMatrix._adopt(draws), SampleDiagnostics(tau_hat=tau_hat, gamma_hat=gamma_hat)
+    return ResponseMatrix._adopt(out), SampleDiagnostics(tau_hat=tau_hat, gamma_hat=gamma_hat)
 
 
 # ---------------------------------------------------------------------------

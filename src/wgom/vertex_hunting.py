@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DataFormatError
+
 TIE_RTOL = 1e-12
 ZERO_RESIDUAL_TOL = 1e-12
 # Rounding bound of one downdate, per unit of (row length + picks) and
@@ -80,6 +82,8 @@ def _projection_searches(x: np.ndarray, widths, picks) -> list:
     # One row per live search, compacted as searches finish or stop.
     search = np.arange(len(widths))
     sq = np.stack([np.einsum("ij,ij->i", x[:, :w], x[:, :w]) for w in widths])
+    if not np.isfinite(sq.max()):
+        raise DataFormatError("a row's squared norm must stay within float range (about 1.8e308)")
     step_bound = DOWNDATE_RTOL * (widths + picks) * sq.max(axis=1)
     # Search j sees the columns in_prefix[j] of a row and zeros elsewhere.
     in_prefix = np.arange(d) < widths[:, None] if (widths < d).any() else None

@@ -5,19 +5,31 @@ decompositions) and built from numpy primitives only, so it cannot share a
 failure mode with the library paths it checks.  The exceptions are
 ``select_by_single_fits``, which checks the class-count sweep against the
 library's own single fits, ``leading``, which reads the library's
-decompositions the way its estimators do, and ``randomized_svd_reference``,
+decompositions the way its estimators do, ``randomized_svd_reference``,
 which is the library's range finder with every product in its plain
-orientation.
+orientation, and ``sample_response_reference``, which is the sampler drawn
+as one whole matrix.
 """
 
 import itertools
+import math
 from collections import namedtuple
 
 import numpy as np
 
-from wgom import DegenerateRankError, DimensionError, RankDeficiencyError, modularity, rmsp, scgoma
+from wgom import (
+    ConfigError,
+    DegenerateRankError,
+    DimensionError,
+    DistributionRangeError,
+    RankDeficiencyError,
+    expected_responses,
+    modularity,
+    rmsp,
+    scgoma,
+)
 from wgom.linalg import POWER_ITERATIONS, _check_spectrum, _fix_signs, _sketch_width
-from wgom.types import response_array
+from wgom.types import ResponseMatrix, SampleDiagnostics, _check_seed, response_array
 from wgom.vertex_hunting import _projection_searches
 
 
@@ -47,6 +59,37 @@ def randomized_svd_reference(a, k, *, seed=0):
         q, _ = np.linalg.qr(a @ w)
     ub, s, vt = np.linalg.svd(q.T @ a, full_matrices=False)
     return q @ ub, s, vt
+
+
+def sample_response_reference(spec, seed):
+    """``sampling.sample_response`` drawn as one whole matrix: all of R0, its
+    admissibility check, the draws and then the retention mask, each in one
+    call on the full N x J shape."""
+    if not isinstance(seed, (np.random.Generator, np.random.SeedSequence)):
+        _check_seed(seed)
+    rng = np.random.default_rng(seed)
+    r0 = expected_responses(spec)
+    ok = spec.distribution.admissible(r0)
+    if not ok.all():
+        i, j = np.argwhere(~ok)[0]
+        raise DistributionRangeError(
+            f"expected response at ({i}, {j}) = {r0[i, j]:.6g} lies outside the "
+            f"admissible range {spec.distribution.range_description()} of "
+            f"{spec.distribution.name}"
+        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        draws = spec.distribution.draw(r0, rng)
+        np.abs(np.subtract(draws, r0, out=r0), out=r0)
+    tau_hat = float(r0.max())
+    gamma_hat = tau_hat * (tau_hat / spec.item_params.scale)
+    if not math.isfinite(gamma_hat):
+        raise ConfigError(
+            f"{spec.distribution.name} draws overflow: the largest deviation from the mean, "
+            f"squared over the item parameter scale {spec.item_params.scale:.6g}, is not finite"
+        )
+    if spec.sparsity < 1.0:
+        draws *= rng.random(draws.shape) < spec.sparsity
+    return ResponseMatrix._adopt(draws), SampleDiagnostics(tau_hat=tau_hat, gamma_hat=gamma_hat)
 
 
 def brute_hamming(pi_hat, pi_true) -> float:

@@ -707,6 +707,15 @@ def test_exit_code_data_error(tmp_path):
     assert main(["estimate", str(huge), "--k", "2", "--out", str(tmp_path / "o")]) == 3
 
 
+def test_rmsp_on_entries_past_the_squared_norm_range_is_a_data_error(tmp_path, capsys):
+    huge = tmp_path / "huge.csv"
+    write_dense_csv(huge, np.random.default_rng(0).random((50, 30)) * 1e160)
+    capsys.readouterr()
+    assert main(["estimate", str(huge), "--k", "3", "--method", "rmsp", "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_exit_code_numerical_error(tmp_path):
     constant = tmp_path / "const.csv"
     write_dense_csv(constant, np.full((8, 6), 2.0))

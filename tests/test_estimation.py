@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from wgom import (
     Bernoulli,
     Binomial,
     ClassCountSweep,
+    DataFormatError,
     DegenerateRankError,
     DimensionError,
     ItemParams,
@@ -145,6 +148,17 @@ def test_scale_invariance_of_memberships():
     scaled_r = rmsp(3.7 * responses.values, 3)
     assert np.abs(scaled_r.membership_hat.rows - base_r.membership_hat.rows).max() <= 1e-8
     assert np.abs(scaled_r.item_params_hat - 3.7 * base_r.item_params_hat).max() <= 1e-8
+
+
+def test_rmsp_refuses_rows_whose_squared_norm_overflows():
+    # Entries near 1e160 square past float range; the search's norms would
+    # read inf and its band test nan.
+    r = np.random.default_rng(0).random((50, 30)) * 1e160
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: rmsp(r, 3), lambda: select_k(r, "rmsp", 5)):
+            with pytest.raises(DataFormatError, match="squared norm must stay within float range"):
+                call()
 
 
 def test_membership_rows_normalized_and_nonnegative():

@@ -79,7 +79,8 @@ def test_modularity_bounded_by_one_on_random_instances():
 
 
 def test_mixed_sign_scoring_holds_less_than_one_similarity_matrix():
-    # A = RR' is walked in row blocks; one N x N float array would be 72 MB.
+    # A = RR' is walked in row blocks; one N x N float array would be 72 MB,
+    # and each block is freed before the next is formed.
     rng = np.random.default_rng(5)
     n = 3000
     r = rng.standard_normal((n, 10))
@@ -91,6 +92,7 @@ def test_mixed_sign_scoring_holds_less_than_one_similarity_matrix():
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8
+    assert peak <= 1.25 * modularity.BLOCK_BYTES
 
 
 @pytest.mark.parametrize("rows", [1, 7, 20, 50])

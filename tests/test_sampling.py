@@ -23,9 +23,10 @@ from wgom import (
     sample_response,
     simulation_spec,
 )
-from wgom.sampling import DISTRIBUTIONS, discrete_mean_interval
+from wgom import sampling
+from wgom.sampling import DISTRIBUTIONS, Distribution, discrete_mean_interval
 
-from helpers import block_pi
+from helpers import block_pi, sample_response_reference
 
 
 def constant_mean_spec(mu, dist, n_draws, sparsity=1.0):
@@ -342,3 +343,95 @@ def test_sampling_peak_memory_is_a_small_multiple_of_r(sparsity):
         assert responses.values.shape == (400, 200) and not responses.values.flags.writeable
         peaks[dist.name] = (round(peak / r_bytes, 3), bound)
     assert all(peak <= bound for peak, bound in peaks.values()), peaks
+
+
+# At 400 x 200, 64 KiB blocks of 40 rows split R into 10.  Beside R the
+# sampler holds one block of R0 and the draw's block-sized temporaries.
+BLOCKED_PEAK_BOUNDS = {
+    "normal": 1.3, "bernoulli": 1.3, "exponential": 1.3,
+    "binomial": 1.5, "uniform": 1.5, "signed": 1.5, "poisson": 1.5,
+    "discrete": 1.85,
+}
+
+
+@pytest.mark.parametrize("sparsity", [1.0, 0.5])
+def test_blocked_sampling_peak_memory_is_r_plus_a_few_blocks(monkeypatch, sparsity):
+    monkeypatch.setattr(sampling, "BLOCK_BYTES", 64 * 2**10)
+    peaks = {}
+    for dist, rho, _ in PEAK_BOUNDS:
+        spec = simulation_spec(dist, n=400, rho=rho, sparsity=sparsity, rng=np.random.default_rng(0))
+        r_bytes = spec.n_subjects * spec.n_items * 8
+        tracemalloc.start()
+        try:
+            sample_response(spec, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        peaks[dist.name] = (round(peak / r_bytes, 3), BLOCKED_PEAK_BOUNDS[dist.name])
+    assert all(peak <= bound for peak, bound in peaks.values()), peaks
+
+
+# Every catalog family, the discrete one with an index and a mean-locked scheme.
+BLOCKED_DRAWS = [(dist, rho) for dist, rho, _ in PEAK_BOUNDS] + [
+    (GeneralDiscrete(support=(-2.0, 1.0, 1.5), scheme="mean-locked"), None)
+]
+
+
+@pytest.mark.parametrize("sparsity", [1.0, 0.5])
+@pytest.mark.parametrize("rows", [1, 7, None])
+def test_blocked_draws_equal_the_whole_matrix_draw(monkeypatch, rows, sparsity):
+    # One row per block, 7 rows that leave a ragged last block of N = 60, and
+    # the default budget on a matrix it splits in two.
+    n, j = (60, 30) if rows else (600, 300)
+    if rows:
+        monkeypatch.setattr(sampling, "BLOCK_BYTES", 8 * j * rows)
+    assert sampling.BLOCK_BYTES < 8 * n * j
+    for dist, rho in BLOCKED_DRAWS:
+        spec = simulation_spec(dist, n=n, j=j, k=4, rho=rho, sparsity=sparsity, rng=np.random.default_rng(2))
+        blocked, blocked_diag = sample_response(spec, 5)
+        whole, whole_diag = sample_response_reference(spec, 5)
+        assert blocked.values.tobytes() == whole.values.tobytes(), dist
+        assert blocked_diag == whole_diag, dist
+
+
+def pure_rows_spec(dist, theta, n=60):
+    """All but the last subject pure in class 0, the last one pure in class 1."""
+    pi = np.zeros((n, 2))
+    pi[:-1, 0] = pi[-1, 1] = 1.0
+    return ModelSpec(membership=MembershipMatrix(pi), item_params=ItemParams(theta), distribution=dist)
+
+
+def test_range_error_in_the_last_block_names_the_entry_as_a_whole_draw_does(monkeypatch):
+    theta = np.full((30, 2), 0.5)
+    theta[3, 1] = -0.25
+    spec = pure_rows_spec(Bernoulli(), theta)
+    with pytest.raises(DistributionRangeError) as whole:
+        sample_response_reference(spec, 0)
+    monkeypatch.setattr(sampling, "BLOCK_BYTES", 8 * 30 * 7)
+    with pytest.raises(DistributionRangeError) as blocked:
+        sample_response(spec, 0)
+    assert str(blocked.value) == str(whole.value)
+    assert "(59, 3) = -0.25" in str(blocked.value)
+
+
+class NanAboveOne(Distribution):
+    """Normal draws, except nan where the mean exceeds 1."""
+
+    name = "nan-above-one"
+    interval = (-np.inf, np.inf, False)
+
+    def draw(self, means, rng):
+        return np.where(means > 1.0, np.nan, rng.normal(means))
+
+
+@pytest.mark.parametrize("dist,mean", [(Exponential(), 1e308), (NanAboveOne(), 2.0)])
+def test_an_overflow_in_a_later_block_is_refused(monkeypatch, dist, mean):
+    # Only the last subject's draws leave float range, as inf or nan; a nan
+    # must survive the maximum taken over the blocks.
+    theta = np.full((30, 2), 0.5)
+    theta[:, 1] = mean
+    spec = pure_rows_spec(dist, theta)
+    monkeypatch.setattr(sampling, "BLOCK_BYTES", 8 * 30 * 7)
+    for sample in (sample_response, sample_response_reference):
+        with pytest.raises(ConfigError, match="draws overflow"):
+            sample(spec, 0)
