@@ -3,7 +3,11 @@
 Both estimators run one pipeline on row embeddings X: vertex search on the
 rows of X, clamped simplex weights, row normalization, and an item-parameter
 regression.  ``scgoma`` uses the left SVD factor U of R as X and regresses on
-the rank-K reconstruction; ``rmsp`` uses R for both.  The oracle variants
+the rank-K reconstruction; ``rmsp`` uses R for both.  U and V keep the
+signs the SVD gives them: flipping a column of both negates both factors of
+every product term a fit forms from them (row norms, X C', C C', U' Pi and
+V Sigma (U' Pi)), and negation is exact, so no output bit depends on them.
+The oracle variants
 ``ideal_scgoma`` / ``ideal_rmsp`` check that a noiseless expected matrix has
 rank exactly K and then run the matching estimator, which recovers it exactly.
 
@@ -21,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DegenerateRankError, DimensionError, RankDeficiencyError
-from .linalg import _check_spectrum, _decompose, _fix_signs, _spectrum_rank, solve_small_inverse
+from .linalg import _check_spectrum, _decompose, solve_small_inverse
 from .types import EstimationResult, MembershipMatrix, _check_seed, _is_count, response_array
 from .vertex_hunting import _projection_searches
 
@@ -81,10 +85,10 @@ class _Sweep:
     matrix, each stage computed once per k on first use.
 
     The constructor checks its arguments, then decomposes and searches once.
-    ``"scgoma"`` makes one top-k_max SVD seeded with ``seed``, fixes the
-    signs of its passing prefix (the ks whose spectrum check passes) and runs
-    one lockstep search over the prefixes U[:, :k]; k is fitted on the first
-    k triplets and the picks a k-pick search on U[:, :k] makes.  For
+    ``"scgoma"`` makes one top-k_max SVD seeded with ``seed`` and runs one
+    lockstep search over the prefixes U[:, :k] for every k up to k_max; k is
+    fitted on the first k triplets and the picks a k-pick search on U[:, :k]
+    makes, once its spectrum check passes.  For
     k_max <= 15 every fit equals ``scgoma(R, k, seed=seed)`` exactly: every
     k <= 15 takes the same SVD path and the same 25-column sketch.  Above
     that the sweep sketches k_max + 10 columns (or goes dense), so where a
@@ -114,12 +118,9 @@ class _Sweep:
                 for k in range(1, k_max + 1)
             ]
             return
-        u, s, vt = self._svd = _decompose(r, k_max, seed=seed)
-        k_ok = _spectrum_rank(s, k_max)
-        # Signs are fixed per column, so one fix serves every passing prefix.
-        _fix_signs(u[:, :k_ok], vt[:k_ok])
-        widths = range(1, k_ok + 1)
-        self._searches = _projection_searches(u[:, :k_ok], widths, widths) if k_ok else []
+        self._svd = _decompose(r, k_max, seed=seed)
+        widths = range(1, k_max + 1)
+        self._searches = _projection_searches(self._svd[0][:, :k_max], widths, widths)
 
     def memberships(self, k: int) -> tuple[np.ndarray, int, np.ndarray]:
         """``(pi, n_clamped_rows, vertices)`` at k, from the rows X_k
@@ -129,7 +130,7 @@ class _Sweep:
         if not (_is_count(k) and 1 <= k <= self.k_max):
             raise DimensionError(f"k={k!r} outside [1, {self.k_max}], the sweep's k_max")
         if k not in self._memberships:
-            if k > len(self._searches):  # only scgoma, past its passing prefix
+            if self._svd is not None:
                 _check_spectrum(self._svd[1], k)
             vertices, failure = self._searches[k - 1]
             if failure is not None:

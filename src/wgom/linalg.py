@@ -36,24 +36,8 @@ DEGENERATE_RTOL = 1e-12
 PINV_FALLBACK_RTOL = 1e-10
 
 
-def _fix_signs(u: np.ndarray, vt: np.ndarray) -> None:
-    # Deterministic orientation: the largest-magnitude entry of each left
-    # singular vector is made nonnegative (argmax already breaks ties low).
-    columns = np.arange(u.shape[1])
-    flip = u[np.argmax(np.abs(u), axis=0), columns] < 0
-    u[:, flip] = -u[:, flip]
-    vt[flip] = -vt[flip]
-
-
-def _spectrum_rank(s: np.ndarray, k_max: int) -> int:
-    """The largest k <= k_max whose spectrum check passes, 0 if none does.
-    ``s`` is nonincreasing, so the check passes at every k up to it and fails
-    at every k past it."""
-    return int(np.count_nonzero(s[:k_max] >= DEGENERATE_RTOL * s[0])) if s[0] > 0.0 else 0
-
-
 def _check_spectrum(s: np.ndarray, k: int) -> None:
-    if _spectrum_rank(s, k) < k:
+    if not (s[0] > 0.0 and s[k - 1] >= DEGENERATE_RTOL * s[0]):
         raise DegenerateRankError(
             f"matrix is numerically rank deficient: sigma_{k} = {s[k - 1]:.3g} "
             f"with sigma_1 = {s[0]:.3g}"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,10 @@ def write_dense_csv(path, array) -> None:
 
 def read_dense_csv(path) -> np.ndarray:
     try:
-        arr = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+        with warnings.catch_warnings():
+            # A file of comment lines alone is the empty matrix below.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            arr = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
     except ValueError as exc:
         raise DataFormatError(f"{path}: not a dense CSV matrix ({exc})") from exc
     if arr.size == 0:

@@ -253,12 +253,12 @@ class GeneralDiscrete(Distribution):
         support = self.support
         if self.scheme == "mean-locked":
             alpha, beta = _mean_locked_coeffs(support)
-            lo, hi = 0.0, 1.0  # p0 = mean is itself a probability
-            # p2 = alpha * mean + beta and p1 = (-1 - alpha) * mean + (1 - beta)
-            # must both be probabilities as well.
-            for a, b in ((alpha, beta), (-1.0 - alpha, 1.0 - beta)):
-                left, right = _affine_unit_interval(a, b)
-                lo, hi = max(lo, left), min(hi, right)
+            # p0 = mean, p2 = alpha * mean + beta and p1 = gamma * mean + delta
+            # must all be probabilities.  A strictly increasing support makes
+            # alpha > 0, so the slope gamma = -1 - alpha is negative.
+            gamma, delta = -1.0 - alpha, 1.0 - beta
+            lo = max(0.0, -beta / alpha, (1.0 - delta) / gamma)
+            hi = min(1.0, (1.0 - beta) / alpha, -delta / gamma)
             if lo > hi:
                 raise InfeasibleSchemeError(f"mean-locked scheme is infeasible for support {support}")
             return lo, hi, False
@@ -398,15 +398,6 @@ def _mean_locked_coeffs(support) -> tuple:
     alpha = (1.0 - a0 + a1) / (a2 - a1)
     beta = -a1 / (a2 - a1)
     return alpha, beta
-
-
-def _affine_unit_interval(alpha: float, beta: float) -> tuple:
-    # Mean interval on which alpha * mean + beta stays inside [0, 1].
-    if alpha > 0:
-        return (-beta / alpha, (1.0 - beta) / alpha)
-    if alpha < 0:
-        return ((1.0 - beta) / alpha, -beta / alpha)
-    return (-np.inf, np.inf) if 0.0 <= beta <= 1.0 else (np.inf, -np.inf)
 
 
 def discrete_mean_interval(support, scheme) -> tuple:

@@ -71,9 +71,11 @@ def _projection_searches(x: np.ndarray, widths, picks) -> list:
     the bound these are the tie band alone, usually the picked row, whose
     residual the pick needs anyway; as the top falls toward it, the recompute
     widens, up to every row.  So both stop rules (the largest residual norm
-    below 1e-12, a direction that collapses under re-orthogonalization) and
-    the tie rule (squared norms within a factor (1 - TIE_RTOL)^2 of the top,
-    lowest index first) read exactly computed norms, never downdated ones.
+    at most 1e-12 times the search's largest starting row norm, a direction
+    that collapses to that bound under re-orthogonalization) and the tie rule
+    (squared norms within a factor (1 - TIE_RTOL)^2 of the top, lowest index
+    first) read exactly computed norms, never downdated ones.  Being
+    relative, the stop rules stop R and 2^e R at the same step.
     """
     d = x.shape[1]
     widths, picks = np.asarray(widths), np.asarray(picks)
@@ -84,7 +86,10 @@ def _projection_searches(x: np.ndarray, widths, picks) -> list:
     sq = np.stack([np.einsum("ij,ij->i", x[:, :w], x[:, :w]) for w in widths])
     if not np.isfinite(sq.max()):
         raise DataFormatError("a row's squared norm must stay within float range (about 1.8e308)")
-    step_bound = DOWNDATE_RTOL * (widths + picks) * sq.max(axis=1)
+    largest = sq.max(axis=1)
+    step_bound = DOWNDATE_RTOL * (widths + picks) * largest
+    # The stop bound on squared norms; ``<=`` stops an all-zero input too.
+    floor = ZERO_RESIDUAL_TOL**2 * largest
     # Search j sees the columns in_prefix[j] of a row and zeros elsewhere.
     in_prefix = np.arange(d) < widths[:, None] if (widths < d).any() else None
     basis = np.empty((len(widths), steps, d))
@@ -128,14 +133,14 @@ def _projection_searches(x: np.ndarray, widths, picks) -> list:
             coefficients = earlier @ directions[:, :, None]
             directions -= (np.swapaxes(coefficients, 1, 2) @ earlier)[:, 0]
         norms = np.sqrt(directions[:, None] @ directions[:, :, None])[:, 0, 0]
-        stopped = (top < ZERO_RESIDUAL_TOL**2) | (norms < ZERO_RESIDUAL_TOL)
+        stopped = (top <= floor) | (norms * norms <= floor)
         leaving = stopped | (picks == t + 1)
         if leaving.any():
             for i in leaving.nonzero()[0]:
                 j = search[i]
                 if not stopped[i]:
                     results[j] = chosen[i, : t + 1], None
-                elif top[i] < ZERO_RESIDUAL_TOL**2:
+                elif top[i] <= floor[i]:
                     results[j] = chosen[i, :t], (
                         f"residual vanished after {t} of {picks[i]} selections "
                         f"(max row norm {np.sqrt(top[i]):.3g})"
@@ -148,8 +153,8 @@ def _projection_searches(x: np.ndarray, widths, picks) -> list:
             if leaving.all():
                 break
             staying = ~leaving
-            search, picks, step_bound, sq, basis, chosen = (
-                a[staying] for a in (search, picks, step_bound, sq, basis, chosen)
+            search, picks, step_bound, floor, sq, basis, chosen = (
+                a[staying] for a in (search, picks, step_bound, floor, sq, basis, chosen)
             )
             directions, norms = directions[staying], norms[staying]
             if in_prefix is not None:

@@ -28,7 +28,7 @@ from wgom import (
     rmsp,
     scgoma,
 )
-from wgom.linalg import POWER_ITERATIONS, _check_spectrum, _fix_signs, _sketch_width
+from wgom.linalg import POWER_ITERATIONS, _check_spectrum, _sketch_width
 from wgom.types import ResponseMatrix, SampleDiagnostics, _check_seed, response_array
 from wgom.vertex_hunting import _projection_searches
 
@@ -38,13 +38,11 @@ TopK = namedtuple("TopK", "left singulars right")
 
 def leading(u, s, vt, k) -> TopK:
     """The first k triplets of a decomposition such as ``linalg._decompose``
-    returns, as sign-fixed copies: left (N x k), singulars (k), right (J x k).
-    Raises ``DegenerateRankError`` where the estimators' spectrum check at k
-    fails."""
+    returns, as copies with the decomposition's signs: left (N x k),
+    singulars (k), right (J x k).  Raises ``DegenerateRankError`` where the
+    estimators' spectrum check at k fails."""
     _check_spectrum(s, k)
-    u, vt = u[:, :k].copy(), vt[:k].copy()
-    _fix_signs(u, vt)
-    return TopK(u, s[:k].copy(), vt.T.copy())
+    return TopK(u[:, :k].copy(), s[:k].copy(), vt[:k].T.copy())
 
 
 def randomized_svd_reference(a, k, *, seed=0):
@@ -168,18 +166,21 @@ SPA_ZERO_RESIDUAL_TOL = 1e-12
 def spa_oracle(rows, k):
     """Successive projection on an explicit residual matrix: every pick takes
     the largest residual row norm (ties within 1e-12 relative to the lowest
-    index) and deflates the whole residual.  Returns ``(vertices, failure)``
-    as each search of ``vertex_hunting._projection_searches`` does."""
+    index) and deflates the whole residual, and the search stops where that
+    norm, or a direction's after re-orthogonalization, is at most 1e-12 times
+    the largest row norm of ``rows``.  Returns ``(vertices, failure)`` as
+    each search of ``vertex_hunting._projection_searches`` does."""
     x = np.asarray(rows, dtype=float)
     n, d = x.shape
     residual = x.copy()
+    floor = SPA_ZERO_RESIDUAL_TOL * np.linalg.norm(x, axis=1).max()
     basis = np.empty((k, d))
     chosen = np.empty(k, dtype=int)
 
     for t in range(k):
         norms = np.linalg.norm(residual, axis=1)
         top = norms.max()
-        if top < SPA_ZERO_RESIDUAL_TOL:
+        if top <= floor:
             return chosen[:t], (
                 f"residual vanished after {t} of {k} selections "
                 f"(max row norm {top:.3g})"
@@ -193,7 +194,7 @@ def spa_oracle(rows, k):
             # near-degenerate simplices.
             direction -= basis[:t].T @ (basis[:t] @ direction)
         norm = np.linalg.norm(direction)
-        if norm < SPA_ZERO_RESIDUAL_TOL:
+        if norm <= floor:
             return chosen[:t], (
                 f"selected direction collapsed after re-orthogonalization "
                 f"at step {t + 1} of {k}"

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from wgom import Binomial, ItemParams, MembershipMatrix, ModelSpec, expected_responses
+from wgom import cli
 from wgom.cli import main
 from wgom.matrix_io import read_dense_csv, write_coordinate, write_dense_csv
 
@@ -714,6 +715,60 @@ def test_rmsp_on_entries_past_the_squared_norm_range_is_a_data_error(tmp_path, c
     assert main(["estimate", str(huge), "--k", "3", "--method", "rmsp", "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_select_k_on_a_csv_of_comment_lines_prints_one_error_line(tmp_path):
+    path = tmp_path / "comments.csv"
+    path.write_text("#,\n# 1,2\n")
+    run = subprocess.run(
+        [sys.executable, "-W", "always", "-m", "wgom.cli", "select-k", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 3
+    assert run.stderr.splitlines() == [f"error: {path}: empty matrix file"]
+
+
+def test_generate_refuses_factor_files_of_the_wrong_shape(tmp_path, capsys):
+    membership = tmp_path / "membership.csv"
+    write_dense_csv(membership, np.full((20, 3), 1 / 3))
+    items = tmp_path / "items.csv"
+    write_dense_csv(items, np.full((9, 2), 0.5))
+    config = tmp_path / "config.json"
+    base = {"n": 20, "j": 10, "k": 2, "distribution": {"name": "bernoulli"}}
+    for key, path, message in (
+        ("membership_file", membership, "membership file is 20x3, config says 20x2"),
+        ("item_params_file", items, "item parameter file is 9x2, config says 10x2"),
+    ):
+        config.write_text(json.dumps({**base, key: str(path)}))
+        capsys.readouterr()
+        assert main(["generate", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_malformed_thresholds_flag_is_a_usage_error(tmp_path, capsys):
+    matrix = tmp_path / "m.csv"
+    write_dense_csv(matrix, np.random.default_rng(0).random((20, 10)))
+    with pytest.raises(SystemExit) as exited:
+        main(["estimate", str(matrix), "--k", "2", "--thresholds", "abc", "--out", str(tmp_path / "o")])
+    assert exited.value.code == 2
+    assert "expected '<mixed>,<pure>', got 'abc'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_generate_turns_a_sampling_memory_error_into_a_config_error(tmp_path, capsys, monkeypatch):
+    # No array is allocated: the sampler is replaced by one that raises.
+    def exhausted(spec, seed):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "sample_response", exhausted)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n": 20, "j": 10, "k": 2, "distribution": {"name": "bernoulli"}}))
+    capsys.readouterr()
+    assert main(["generate", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: cannot allocate the 20 x 10 (N x J) array of the model the config declares\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_exit_code_numerical_error(tmp_path):

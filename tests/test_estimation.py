@@ -26,6 +26,7 @@ from wgom import (
     simulation_spec,
 )
 from wgom.errors import ConfigError
+from wgom import estimation
 from wgom.estimation import _normalize_clamped
 from wgom.linalg import _decompose, solve_small_inverse
 
@@ -284,6 +285,56 @@ def assert_same_fit(a, b):
     assert a.pure_index_set == b.pure_index_set
     assert np.array_equal(a.singular_values, b.singular_values)
     assert a.n_clamped_rows == b.n_clamped_rows
+
+
+def sweep_outcomes(sweep):
+    """``select()`` and, per k, the bytes of every output of ``fit(k)`` or the
+    error it raises."""
+    outcomes = [sweep.select()]
+    for k in range(1, sweep.k_max + 1):
+        try:
+            fit = sweep.fit(k)
+        except (DegenerateRankError, RankDeficiencyError) as exc:
+            outcomes.append(f"{type(exc).__name__}: {exc}")
+            continue
+        outcomes.append((
+            fit.membership_hat.rows.tobytes(),
+            fit.item_params_hat.tobytes(),
+            fit.pure_index_set,
+            fit.singular_values.tobytes(),
+            fit.n_clamped_rows,
+        ))
+    return outcomes
+
+
+@pytest.mark.parametrize("shape, rank", [((40, 30), None), ((120, 60), None), ((300, 150), None), ((120, 60), 2)])
+@pytest.mark.parametrize("flip_seed", range(3))
+def test_fits_do_not_depend_on_the_signs_of_the_singular_vectors(monkeypatch, shape, rank, flip_seed):
+    # A 40 x 30 input takes the dense SVD path and the others the randomized
+    # one.  Flipping a random set of columns of both U and V' flips both
+    # factors of every product term a fit forms from them, so k_hat, the
+    # curve and every fit are unchanged to the bit, and a rank-2 input fails
+    # at k >= 3 with the same errors.
+    rng = np.random.default_rng(shape[0] + 10 * flip_seed)
+    n, j = shape
+    classes = rank or 3
+    r = block_pi(n, classes, n // 4) @ rng.random((j, classes)).T
+    if rank is None:
+        r += 0.3 * rng.standard_normal(shape)
+    k_max = 8
+    want = sweep_outcomes(ClassCountSweep(r, "scgoma", k_max))
+    decompose = estimation._decompose
+
+    def flipped(a, k, *, seed=0):
+        u, s, vt = decompose(a, k, seed=seed)
+        flip = rng.random(len(s)) < 0.5
+        flip[rng.integers(k_max)] = True
+        u[:, flip] = -u[:, flip]
+        vt[flip] = -vt[flip]
+        return u, s, vt
+
+    monkeypatch.setattr(estimation, "_decompose", flipped)
+    assert sweep_outcomes(ClassCountSweep(r, "scgoma", k_max)) == want
 
 
 def test_numpy_integer_class_counts_pass():

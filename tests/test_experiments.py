@@ -400,3 +400,13 @@ def test_class_count_family_samples_within_mean_range(method):
         assert row.error is None
         metrics.add((row.mean_hamming_error, row.mean_relative_error))
     assert len(metrics) == 3
+
+
+def test_a_sampling_memory_error_is_the_unallocatable_config_error(monkeypatch):
+    # No array is allocated: the sampler is replaced by one that raises.
+    def exhausted(spec, rng):
+        raise MemoryError
+
+    monkeypatch.setattr(experiments, "sample_response", exhausted)
+    with pytest.raises(ConfigError, match=r"cannot allocate the 40 x 20 \(N x J\) array"):
+        run_experiment("rho", [1.0], Bernoulli(), n=40, replicates=1, seed=0, k_max=3)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,15 @@ def test_coordinate_errors(tmp_path):
     path.write_text("2 2 1\n1 1\n")
     with pytest.raises(DataFormatError):
         read_coordinate(path)
+    path.write_text("3 x 1\n1 1 2.0\n")
+    with pytest.raises(DataFormatError, match="bad coordinate header"):
+        read_coordinate(path)
+
+
+def test_coordinate_skips_blank_lines(tmp_path):
+    path = tmp_path / "blank.txt"
+    path.write_text("2 2 2\n\n1 1 1.5\n   \n2 2 3.0\n\n")
+    assert np.array_equal(read_coordinate(path), [[1.5, 0.0], [0.0, 3.0]])
 
 
 def test_read_matrix_autodetects(tmp_path):
@@ -85,6 +96,16 @@ def test_read_matrix_autodetects(tmp_path):
     empty.write_text("")
     with pytest.raises(DataFormatError):
         read_matrix(empty)
+
+
+def test_csv_of_comment_lines_is_an_empty_matrix_without_a_warning(tmp_path):
+    path = tmp_path / "comments.csv"
+    path.write_text("#,\n# 1,2\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DataFormatError, match="empty matrix file"):
+            read_matrix(path)
+    assert caught == []
 
 
 def test_prune_empty_single_pass():

@@ -78,9 +78,6 @@ def test_sign_convention_is_deterministic():
     first = top_k(a, 4)
     second = top_k(a.copy(), 4)
     assert np.array_equal(first.left, second.left)
-    for j in range(4):
-        pivot = np.argmax(np.abs(first.left[:, j]))
-        assert first.left[pivot, j] >= 0
 
 
 def test_randomized_path_matches_dense():

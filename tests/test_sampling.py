@@ -155,6 +155,13 @@ def test_mean_locked_infeasible_support():
         construct_discrete((10.0, 11.0, 12.0), "mean-locked", 11.0)
 
 
+def test_admitted_mean_solving_to_a_negative_probability_is_infeasible():
+    # The admissible interval lets a mean 5e-13 below 0 in, but on the narrow
+    # support (0, 1e-3) it solves to a probability near -5e-10.
+    with pytest.raises(InfeasibleSchemeError, match="outside"):
+        construct_discrete((0.0, 1e-3), "binary", -5e-13)
+
+
 def test_out_of_interval_mean_is_range_error():
     with pytest.raises(DistributionRangeError):
         construct_discrete((0.0, 1.0, 2.0), 0, 1.7)

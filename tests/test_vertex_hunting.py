@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wgom import DimensionError, RankDeficiencyError, rmsp
+from wgom import Bernoulli, DimensionError, RankDeficiencyError, rmsp, sample_response, select_k, simulation_spec
 from wgom import vertex_hunting
 from wgom.vertex_hunting import _projection_searches
 
@@ -226,6 +226,32 @@ def test_vanishing_threshold_reads_the_last_residual(last, picked):
     assert vertices.tolist() == [0, 1, 2][:picked]
     assert (failure is None) == (picked == 3)
     assert spa_oracle(rows, 3)[0].tolist() == vertices.tolist()
+
+
+def bernoulli_draw():
+    """A 200 x 100 Bernoulli response matrix: entries 0 and 1."""
+    rng = np.random.default_rng(0)
+    return sample_response(simulation_spec(Bernoulli(), n=200, rng=rng), rng)[0].values
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(e=st.integers(-470, 470))
+# A stop bound blind to the scale would reject every pick here below 2^-42.
+@example(-60)
+@example(-470)
+@example(470)
+def test_rmsp_fits_and_selects_alike_at_every_power_of_two_scale(e):
+    # The stop rules are relative to the search's largest row norm, and
+    # scaling a 0/1 matrix by 2^e is exact: the picks, memberships, curve and
+    # k_hat equal those at scale 1 to the bit, and the item parameters and
+    # singular values scale by 2^e exactly.
+    r, c = bernoulli_draw(), 2.0**e
+    fit, want = rmsp(r * c, 3), rmsp(r, 3)
+    assert fit.pure_index_set == want.pure_index_set
+    assert fit.membership_hat.rows.tobytes() == want.membership_hat.rows.tobytes()
+    assert fit.item_params_hat.tobytes() == (want.item_params_hat * c).tobytes()
+    assert fit.singular_values.tobytes() == (want.singular_values * c).tobytes()
+    assert select_k(r * c, "rmsp", 8) == select_k(r, "rmsp", 8)
 
 
 def recompute_sizes(monkeypatch):
