@@ -18,6 +18,9 @@ gives all that modularity scoring reads; the finishing stage (``fit``: item
 regression, singular values, the frozen ``EstimationResult``) runs only for
 a K that is asked for.  A single fit, oracles included, is the K-th fit of a
 one-K sweep; ``modularity.ClassCountSweep`` is a sweep that also selects K.
+Scgoma sweeps on one ``ResponseMatrix`` with one sketch width and seed
+decompose once, as the immutable matrix keeps its newest decomposition; an
+ndarray, which its caller may change, is decomposed on every call.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DegenerateRankError, DimensionError, RankDeficiencyError
-from .linalg import _check_spectrum, _decompose, solve_small_inverse
-from .types import EstimationResult, MembershipMatrix, _check_seed, _is_count, response_array
+from .linalg import _check_spectrum, _decompose, _sketch_width, solve_small_inverse
+from .types import EstimationResult, MembershipMatrix, ResponseMatrix, _check_seed, _is_count, response_array
 from .vertex_hunting import _projection_searches
 
 METHODS = ("scgoma", "rmsp")
@@ -85,7 +88,9 @@ class _Sweep:
     matrix, each stage computed once per k on first use.
 
     The constructor checks its arguments, then decomposes and searches once.
-    ``"scgoma"`` makes one top-k_max SVD seeded with ``seed`` and runs one
+    ``"scgoma"`` makes one top-k_max SVD seeded with ``seed``, or reuses the
+    read-only one a ``ResponseMatrix`` kept from a sweep with the same sketch
+    width and seed (an ndarray keeps none), and runs one
     lockstep search over the prefixes U[:, :k] for every k up to k_max; k is
     fitted on the first k triplets and the picks a k-pick search on U[:, :k]
     makes, once its spectrum check passes.  For
@@ -118,7 +123,16 @@ class _Sweep:
                 for k in range(1, k_max + 1)
             ]
             return
-        self._svd = _decompose(r, k_max, seed=seed)
+        memo = responses._svd if isinstance(responses, ResponseMatrix) else {}
+        key = (_sketch_width(k_max, min(r.shape)), seed)
+        factors = memo.get(key)
+        if factors is None:
+            factors = _decompose(r, k_max, seed=seed)
+            for factor in factors:
+                factor.setflags(write=False)
+            memo.clear()
+            memo[key] = factors
+        self._svd = factors
         widths = range(1, k_max + 1)
         self._searches = _projection_searches(self._svd[0][:, :k_max], widths, widths)
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import estimation
-from .errors import DegenerateRankError, DimensionError, RankDeficiencyError, WgomError
+from .errors import DataFormatError, DegenerateRankError, DimensionError, RankDeficiencyError, WgomError
 from .types import _is_count, membership_array, response_array
 
 # Byte budget of one row block of A = RR' in the mixed-sign pass: 1 and 2 MiB ran 9 and 6 % slower.
@@ -43,30 +43,37 @@ def _scores(r: np.ndarray, memberships) -> list:
     # All K concatenated: per-column degree sums d' pi_c and trace terms
     # pi_c' A pi_c = |(pi_c' R)'|^2 (``linalg``'s rule), squared in C order, reduced per K below.
     pi_all = np.hstack(pis)
-    row_sums = r @ (r.T @ np.ones(n))
-    if (r >= 0.0).all() or (r <= 0.0).all():
-        d_plus, d_minus = row_sums, np.zeros(n)
-    else:
-        # Upper triangle of A+ only: block [s, e) forms A[s:e, s:] and clamps
-        # it in place; its strictly-upper part stands in for its mirror, so
-        # its column sums go to d+[e:].  A- = A+ - A gives d- without forming
-        # A-, and rounding that would leave a degree below 0 is dropped.
-        d_plus = np.zeros(n)
-        rows = max(1, BLOCK_BYTES // (8 * n))
-        for start in range(0, n, rows):
-            end = min(start + rows, n)
-            a = r[start:end] @ r[start:].T
-            np.maximum(a, 0.0, out=a)
-            d_plus[start:end] += a.sum(axis=1)
-            d_plus[end:] += a[:, end - start :].sum(axis=0)
-            del a
-        d_minus = np.maximum(d_plus - row_sums, 0.0)
-
     starts = np.cumsum([0] + [pi.shape[1] for pi in pis[:-1]])
-    trace = np.add.reduceat(np.square((pi_all.T @ r).T, order="C").sum(axis=0), starts)
+    # A = RR' can leave float range where R does not: the checks below name it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        row_sums = r @ (r.T @ np.ones(n))
+        if r.min() >= 0.0 or r.max() <= 0.0:
+            d_plus, d_minus = row_sums, np.zeros(n)
+        else:
+            # Upper triangle of A+ only: block [s, e) forms A[s:e, s:] and clamps
+            # it in place; its strictly-upper part stands in for its mirror, so
+            # its column sums go to d+[e:].  A- = A+ - A gives d- without forming
+            # A-, and rounding that would leave a degree below 0 is dropped.
+            d_plus = np.zeros(n)
+            rows = max(1, BLOCK_BYTES // (8 * n))
+            for start in range(0, n, rows):
+                end = min(start + rows, n)
+                a = r[start:end] @ r[start:].T
+                np.maximum(a, 0.0, out=a)
+                d_plus[start:end] += a.sum(axis=1)
+                d_plus[end:] += a[:, end - start :].sum(axis=0)
+                del a
+            d_minus = np.maximum(d_plus - row_sums, 0.0)
+        trace = np.add.reduceat(np.square((pi_all.T @ r).T, order="C").sum(axis=0), starts)
+    peak = np.maximum(d_plus.max(), d_minus.max())
+    if not (np.isfinite(peak) and np.isfinite(trace).all()):
+        raise DataFormatError("A = RR' overflows float range; rescale the responses toward 1")
+    # d+_i >= A_ii = |r_i|^2, so a zero degree on a nonzero row is underflow.
+    zero = (d_plus == 0.0).nonzero()[0]
+    if len(zero) and r[zero].any():
+        raise DataFormatError("A = RR' underflows to zero; rescale the responses toward 1")
     # Q is a ratio: one power of two on d+, d- and the trace changes no bit of
     # it, and keeps (d' pi)^2 in float range wherever the degrees are.
-    peak = max(d_plus.max(), d_minus.max())
     if peak > 0.0:
         shift = -np.frexp(peak)[1]
         d_plus, d_minus, trace = (np.ldexp(x, shift) for x in (d_plus, d_minus, trace))
@@ -94,7 +101,8 @@ def fuzzy_weighted_modularity(responses, membership) -> float:
     """Membership-weighted, sign-split modularity of A = R R'.
 
     Zero by definition for a single class, and when the graph is empty
-    (m+ = m- = 0).
+    (m+ = m- = 0).  Raises ``DataFormatError`` where A leaves float range: a
+    degree or the trace overflows, or a nonzero row's degree underflows to 0.
     """
     return _scores(response_array(responses), [membership])[0]
 

@@ -81,9 +81,11 @@ def _frozen_copy(values, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ResponseMatrix:
-    """Observed weighted responses: subjects in rows, items in columns."""
+    """Observed weighted responses: subjects in rows, items in columns.  Immutable
+    (``values`` is read-only), so it keeps its newest scgoma decomposition."""
 
     values: np.ndarray
+    _svd: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen_copy(self.values, "response matrix"))
@@ -96,6 +98,7 @@ class ResponseMatrix:
         arr = _checked_matrix(values, "response matrix")
         arr.setflags(write=False)
         object.__setattr__(matrix, "values", arr)
+        object.__setattr__(matrix, "_svd", {})
         return matrix
 
     @property

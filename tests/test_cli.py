@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,6 +219,61 @@ def test_fit_outputs_are_pinned(tmp_path, config, fits):
     for method, digests in fits.items():
         outputs = (f"{method}-fit/membership_hat.csv", f"{method}-fit/item_params_hat.csv", f"{method}-k/select_k.json")
         assert [hashlib.sha256((tmp_path / path).read_bytes()).hexdigest() for path in outputs] == list(digests), method
+
+
+# The pinned configs' fit outputs per method: memberships, item parameters,
+# pure indices, and select-k's k_hat and curve.  Unlike the digests they are
+# compared on every host: indices, k_hat and the curve's k exactly, the rest
+# to FIT_ATOL (relative to max |Theta| for item parameters).  Across
+# OpenBLAS 0.3.31's SkylakeX, Haswell, Zen, Sandybridge and Prescott kernels
+# (OPENBLAS_CORETYPE) at one and two threads, no output moved by more than
+# 6e-15 and no index or k_hat changed.  The file holds a SkylakeX run on one
+# thread; rewrite it with
+# ``OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_cli.py``.
+FIT_REFERENCES = Path(__file__).with_name("fit_references.npz")
+FIT_ATOL = 1e-12
+
+
+def pinned_fit_outputs(directory, config) -> dict:
+    """Generate ``config`` and fit it with estimate --k 3 and select-k per
+    method, in process; the outputs keyed as in ``FIT_REFERENCES``."""
+    (directory / "model.json").write_text(json.dumps(config))
+    data = directory / "data"
+    assert main(["generate", str(directory / "model.json"), "--out", str(data)]) == 0
+    outputs = {}
+    for method in ("scgoma", "rmsp"):
+        fit, chosen = directory / f"{method}-fit", directory / f"{method}-k"
+        assert main(["estimate", str(data / "responses.csv"), "--k", "3", "--method", method, "--out", str(fit)]) == 0
+        assert main(["select-k", str(data / "responses.csv"), "--method", method, "--out", str(chosen)]) == 0
+        selected = json.loads((chosen / "select_k.json").read_text())
+        outputs.update({
+            f"{method}/membership": read_dense_csv(fit / "membership_hat.csv"),
+            f"{method}/item_params": read_dense_csv(fit / "item_params_hat.csv"),
+            f"{method}/pure": np.array(json.loads((fit / "summary.json").read_text())["pure_subject_rows"]),
+            f"{method}/k_hat": np.array(selected["k_hat"]),
+            f"{method}/curve": np.array(selected["curve"], dtype=float),
+        })
+    return outputs
+
+
+PIN_NAMES = ["readme", "signed-sparse"]
+
+
+@pytest.mark.parametrize("config,name", [(config, name) for (config, _), name in zip(PINNED_RESPONSES, PIN_NAMES)], ids=PIN_NAMES)
+def test_fit_outputs_match_the_pinned_references(tmp_path, config, name):
+    outputs = pinned_fit_outputs(tmp_path, config)
+    with np.load(FIT_REFERENCES) as references:
+        for key, got in outputs.items():
+            want = references[f"{name}/{key}"]
+            assert got.shape == want.shape, key
+            if key.endswith(("/pure", "/k_hat")):
+                assert np.array_equal(got, want), key
+            elif key.endswith("/curve"):
+                assert np.array_equal(got[:, 0], want[:, 0]), key
+                assert np.abs(got[:, 1] - want[:, 1]).max() <= FIT_ATOL, key
+            else:
+                scale = np.abs(want).max() if key.endswith("/item_params") else 1.0
+                assert np.abs(got - want).max() <= FIT_ATOL * scale, key
 
 
 def test_generate_mask_fraction(tmp_path):
@@ -717,6 +774,17 @@ def test_rmsp_on_entries_past_the_squared_norm_range_is_a_data_error(tmp_path, c
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_select_k_on_a_similarity_graph_past_float_range_is_a_data_error(tmp_path, capsys):
+    r = (np.random.default_rng(0).random((200, 100)) < 0.5).astype(float)
+    for scale in (1e160, 1e-200):
+        path = tmp_path / "scaled.csv"
+        write_dense_csv(path, r * scale)
+        capsys.readouterr()
+        assert main(["select-k", str(path), "--k-max", "8"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_select_k_on_a_csv_of_comment_lines_prints_one_error_line(tmp_path):
     path = tmp_path / "comments.csv"
     path.write_text("#,\n# 1,2\n")
@@ -790,3 +858,13 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "generate" in proc.stdout and "experiment" in proc.stdout
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as scratch:
+        references = {}
+        for (config, _), name in zip(PINNED_RESPONSES, PIN_NAMES):
+            (Path(scratch) / name).mkdir()
+            outputs = pinned_fit_outputs(Path(scratch) / name, config)
+            references.update({f"{name}/{key}": value for key, value in outputs.items()})
+    np.savez_compressed(FIT_REFERENCES, **references)

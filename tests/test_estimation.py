@@ -337,6 +337,51 @@ def test_fits_do_not_depend_on_the_signs_of_the_singular_vectors(monkeypatch, sh
     assert sweep_outcomes(ClassCountSweep(r, "scgoma", k_max)) == want
 
 
+def count_decompositions(monkeypatch):
+    calls = []
+    decompose = estimation._decompose
+
+    def counted(a, k, *, seed=0):
+        calls.append((k, seed))
+        return decompose(a, k, seed=seed)
+
+    monkeypatch.setattr(estimation, "_decompose", counted)
+    return calls
+
+
+def memo_responses():
+    # Min side 100, the randomized path for every k_max here.
+    spec = simulation_spec(Normal(sigma2=1.0), n=200, j=100, rng=np.random.default_rng(12))
+    return sample_response(spec, 12)[0]
+
+
+def test_a_response_matrix_is_decomposed_once_per_sketch_and_seed(monkeypatch):
+    # A ResponseMatrix keeps its newest decomposition; a plain array, which
+    # its caller may change, is decomposed on every call.  Both give the same bits.
+    responses = memo_responses()
+    calls = count_decompositions(monkeypatch)
+    plain_fit, plain_selected = scgoma(responses.values, 3, seed=4), select_k(responses.values, "scgoma", 15, seed=4)
+    assert len(calls) == 2
+    fit, selected = scgoma(responses, 3, seed=4), select_k(responses, "scgoma", 15, seed=4)
+    assert len(calls) == 3
+    assert_same_fit(fit, plain_fit)
+    assert selected == plain_selected
+    assert "_svd" not in repr(responses)
+
+
+def test_a_response_matrix_reuses_no_decomposition_of_another_sketch_or_seed():
+    responses, fresh = memo_responses(), memo_responses()
+    # k_max = 20 sketches 30 columns, not the 25 of every k <= 15.
+    scgoma(responses, 3, seed=0)
+    assert_same_fit(ClassCountSweep(responses, "scgoma", 20).fit(20), ClassCountSweep(fresh.values, "scgoma", 20).fit(20))
+    scgoma(responses, 3, seed=0)
+    assert_same_fit(scgoma(responses, 3, seed=1), scgoma(fresh.values, 3, seed=1))
+    for seed in (2, 3, 4):
+        scgoma(responses, 3, seed=seed)
+    assert list(responses._svd) == [(25, 4)]
+    assert not any(factor.flags.writeable for factor in responses._svd[25, 4])
+
+
 def test_numpy_integer_class_counts_pass():
     r = np.random.default_rng(3).random((20, 10))
     for method in ("scgoma", "rmsp"):

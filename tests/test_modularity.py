@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from wgom import (
     Bernoulli,
     Binomial,
     ClassCountSweep,
+    DataFormatError,
     DimensionError,
     Normal,
     WgomError,
@@ -156,6 +158,25 @@ def test_select_k_is_unchanged_by_a_power_of_two_scale():
     assert expected[0] == 3
     for e in (-300, 300):
         assert select_k(np.ldexp(r, e), "scgoma") == expected
+
+
+@pytest.mark.parametrize("scale, fault", [(1e160, "overflows"), (1e-200, "underflows")])
+def test_scores_refuse_a_similarity_graph_outside_float_range(scale, fault):
+    # R * 1e160 and R * 1e-200 are finite, but A = RR' overflows or rounds to zero.
+    spec = simulation_spec(Bernoulli(), n=200, j=100, rng=np.random.default_rng(0))
+    r = sample_response(spec, 1)[0].values
+    pi = scgoma(r, 3).membership_hat
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataFormatError, match=fault):
+            select_k(r * scale, "scgoma", 8)
+        with pytest.raises(DataFormatError, match=fault):
+            fuzzy_weighted_modularity(r * scale, pi)
+        # A zero row, and an all-zero graph, underflow nothing.
+        zero_row = r.copy()
+        zero_row[5] = 0.0
+        assert select_k(zero_row, "scgoma", 8)[0] == 3
+        assert fuzzy_weighted_modularity(np.zeros_like(r), pi) == 0.0
 
 
 def test_select_k_curve_scores_each_fit_alone():
